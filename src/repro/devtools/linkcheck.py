@@ -12,6 +12,12 @@ files that exist, so a rename or deletion fails CI instead of leaving
 a dead pointer in README/DESIGN.  External URLs are ignored (no
 network access in CI), as are module dotted paths and bare file names
 without a directory component.
+
+Planning documents such as ``ROADMAP.md`` are in scope too: a
+backticked path there is a reference like any other.  A file that does
+not exist yet (or has been removed) is named by its bare name, with its
+directory named apart from it — "a new ``bench_e2e.py`` under
+``benchmarks/``" — and gets its full path once it lands.
 """
 
 from __future__ import annotations

@@ -50,6 +50,18 @@ class TestCheckDocument:
         )
         assert check_document(doc, root) == []
 
+    def test_planned_files_are_named_by_bare_name(self, tmp_path):
+        root = self.make_repo(tmp_path)
+        doc = root / "ROADMAP.md"
+        # A file yet to be written is named bare, its directory apart;
+        # neither form is a path reference.
+        doc.write_text("Add a new `bench_e2e.py` under `benchmarks/`.\n")
+        assert check_document(doc, root) == []
+        # Written as a path, the same absent file is still a finding.
+        doc.write_text("Add `benchmarks/bench_e2e.py`.\n")
+        (finding,) = check_document(doc, root)
+        assert "benchmarks/bench_e2e.py" in finding
+
     def test_missing_document_is_a_finding(self, tmp_path):
         assert check_tree(tmp_path, ("ABSENT.md",)) == ["ABSENT.md: document missing"]
 
