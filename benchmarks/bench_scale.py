@@ -1,13 +1,12 @@
 """Scale benchmark: the 256-session x 64-worker metro ring scenario.
 
-Times the batched fluid engine (`repro.sim.batch.BatchStore`) against
-the per-session reference path on the `repro.testbeds.presets.metro`
-scenario — 16 shared sites, 16 384 workers, ~80 shared resources, every
-ring link carrying dozens of overlapping sessions.  This is the scale
-regime ROADMAP item 1 targets: per-session numpy dispatch dominates the
-hot path (68% of wall time at 8x64 per ``BENCH_hotpath.json``) and
-grows linearly with the session count, while the batched store advances
-all sessions in one pass.
+Times the batched fluid engine (`repro.sim.batch.BatchStore`), at
+fixed dt and with adaptive stepping, on the
+`repro.testbeds.presets.metro` scenario — 16 shared sites, 16 384
+workers, ~80 shared resources, every ring link carrying dozens of
+overlapping sessions.  At this scale per-session numpy dispatch would
+grow linearly with the session count; the batched store advances all
+sessions in one pass.
 
 Run directly (not under pytest)::
 
@@ -15,12 +14,10 @@ Run directly (not under pytest)::
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke    # CI-sized
     PYTHONPATH=src python benchmarks/bench_scale.py --baseline # print only
 
-Writes ``BENCH_scale.json`` pinning all three engines on the same
-scenario; the acceptance bar for the batched-engine PR is
-``speedup >= 5``, and for the adaptive-stepping PR
-``speedup_adaptive >= 5`` at ``total_good_bytes`` matching the
-fixed-dt oracle within rtol 1e-6 (plus byte-identical same-seed
-replay).
+Writes ``BENCH_scale.json`` pinning both stepping modes on the same
+scenario; the adaptive bar is ``speedup_adaptive >= 5`` at
+``total_good_bytes`` matching the fixed-dt oracle within rtol 1e-6
+(plus byte-identical same-seed replay).
 
 The ``--smoke`` mode runs short batched slices (fixed-dt and adaptive)
 and exits nonzero on any of: the wall-clock budget, the adaptive
@@ -74,12 +71,11 @@ def build_scenario(
     sessions_per_site: int = SESSIONS_PER_SITE,
     concurrency: int = CONCURRENCY,
     dt: float = 0.1,
-    batched: bool = True,
     adaptive: bool = False,
 ):
     """The metro ring with one repeating 1 GB-file session per testbed."""
     engine = SimulationEngine(dt=dt, adaptive=adaptive)
-    network = FluidTransferNetwork(engine, batched=batched, adaptive=adaptive)
+    network = FluidTransferNetwork(engine, adaptive=adaptive)
     sessions = []
     for tb in metro(n_sites=n_sites, sessions_per_site=sessions_per_site):
         session = tb.new_session(
@@ -95,12 +91,9 @@ def build_scenario(
 class _TimedEngine:
     """One engine under measurement: counts steps, accumulates wall time."""
 
-    def __init__(self, batched: bool, dt: float, adaptive: bool = False):
-        self.batched = batched
+    def __init__(self, dt: float, adaptive: bool = False):
         self.adaptive = adaptive
-        self.engine, self.network, self.sessions = build_scenario(
-            dt=dt, batched=batched, adaptive=adaptive
-        )
+        self.engine, self.network, self.sessions = build_scenario(dt=dt, adaptive=adaptive)
         self.engine.enable_profiling()
         self.steps = 0
         self.wall = 0.0
@@ -136,7 +129,6 @@ class _TimedEngine:
 
     def result(self, sim_time: float, dt: float, warmup: float) -> dict:
         result = {
-            "batched": self.batched,
             "adaptive": self.adaptive,
             "sim_time": sim_time,
             "dt": dt,
@@ -172,7 +164,6 @@ class _TimedEngine:
 def run_bench(
     sim_time: float,
     dt: float = 0.1,
-    batched: bool = True,
     warmup: float = 1.0,
     adaptive: bool = False,
 ) -> dict:
@@ -180,10 +171,10 @@ def run_bench(
 
     ``warmup`` simulated seconds run before the timer starts, so the
     measurement is steady-state throughput: the one-time topology build
-    (identical for both engines, amortised over any real run) and the
+    (identical for both modes, amortised over any real run) and the
     first cold waterfill are excluded from the timed window.
     """
-    timed = _TimedEngine(batched, dt, adaptive=adaptive)
+    timed = _TimedEngine(dt, adaptive=adaptive)
     timed.run(warmup, timed=False)
     timed.run(sim_time)
     return timed.result(sim_time, dt, warmup)
@@ -191,7 +182,7 @@ def run_bench(
 
 def run_adaptive_bench(sim_time: float, dt: float, warmup: float = 1.0) -> tuple[dict, list]:
     """The adaptive measurement plus its byte-exact replay key."""
-    timed = _TimedEngine(batched=True, dt=dt, adaptive=True)
+    timed = _TimedEngine(dt, adaptive=True)
     timed.run(warmup, timed=False)
     timed.run(sim_time)
     return timed.result(sim_time, dt, warmup), timed.replay_key()
@@ -219,10 +210,10 @@ def _smoke(args) -> int:
     pinned baseline, and a genuine regression still fails all three.
     """
     fixed = min(
-        (run_bench(SMOKE_SIM_TIME, dt=args.dt, batched=True) for _ in range(3)),
+        (run_bench(SMOKE_SIM_TIME, dt=args.dt) for _ in range(3)),
         key=lambda r: r["wall_seconds"],
     )
-    adaptive = run_bench(SMOKE_SIM_TIME, dt=args.dt, batched=True, adaptive=True)
+    adaptive = run_bench(SMOKE_SIM_TIME, dt=args.dt, adaptive=True)
     wall = fixed["wall_seconds"]
     speedup = wall / max(adaptive["wall_seconds"], 1e-9)
     print(
@@ -292,14 +283,10 @@ def main(argv=None) -> int:
     if args.smoke:
         return _smoke(args)
 
-    # Measured sequentially, each engine with its working set resident
-    # (interleaving the engines makes them evict each other's arrays
-    # from cache, which penalises the batched path it is meant to measure).
-    batched = run_bench(args.sim_time, dt=args.dt, batched=True)
-    per_session = run_bench(args.sim_time, dt=args.dt, batched=False)
+    # Measured sequentially, each run with its working set resident.
+    batched = run_bench(args.sim_time, dt=args.dt)
     adaptive, replay_a = run_adaptive_bench(args.sim_time, dt=args.dt)
     _, replay_b = run_adaptive_bench(args.sim_time, dt=args.dt)
-    speedup = round(batched["steps_per_second"] / per_session["steps_per_second"], 2)
     # The adaptive engine takes a handful of large advances instead of
     # thousands of grid steps, so steps/s is meaningless there — the
     # comparison is wall clock over the same simulated window.
@@ -313,13 +300,8 @@ def main(argv=None) -> int:
     adaptive["matches_fixed_dt_rtol"] = ADAPTIVE_RTOL
     adaptive["replay_identical"] = replay_a == replay_b
 
-    for label, result in (
-        ("batched", batched),
-        ("per-session", per_session),
-        ("adaptive", adaptive),
-    ):
+    for label, result in (("batched", batched), ("adaptive", adaptive)):
         _print_result(label, args.sim_time, result)
-    print(f"speedup: {speedup}x (batched vs per-session, steps/s)")
     print(
         f"speedup_adaptive: {speedup_adaptive}x (adaptive vs batched, wall; "
         f"rel err {rel_err:.2e}, replay identical: {adaptive['replay_identical']})"
@@ -345,9 +327,7 @@ def main(argv=None) -> int:
             "dt": args.dt,
         },
         "batched": batched,
-        "per_session": per_session,
         "adaptive": adaptive,
-        "speedup": speedup,
         "speedup_adaptive": speedup_adaptive,
     }
     FsPath(args.out).write_text(json.dumps(payload, indent=2) + "\n")

@@ -99,7 +99,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     cache, progress = _runner_pieces(args)
     with use_runner(jobs=args.jobs, cache=cache, progress=progress):
-        importlib.import_module(module_path).main()
+        if args.quick:
+            from repro.runner.suite import render_experiment
+
+            print(render_experiment(args.experiment, quick=True))
+        else:
+            importlib.import_module(module_path).main()
     return 0
 
 

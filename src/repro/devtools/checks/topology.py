@@ -1,13 +1,13 @@
 """F005 — topology-affecting writes must invalidate the cached topology.
 
-Since PR 1 the executor caches its arbitration scaffolding in a
-``_Topology`` keyed by which sessions are attached and how their
-workers are laid out.  Any write that changes that layout — attaching
-or detaching sessions, replacing ``params``, swapping a path or
-storage — must raise the dirty flag (directly or via
-``invalidate_topology`` / ``_notify_topology_change``), or the executor
-keeps arbitrating yesterday's topology.  The per-step fingerprint is a
-safety net, not a license: it only covers worker counts/parallelism.
+The executor caches its arbitration scaffolding in a ``_Topology``
+built from which sessions are attached and how their workers are laid
+out.  The dirty flag is the cache's only guard: nothing re-checks the
+layout per step.  Any write that changes that layout — attaching or
+detaching sessions, replacing ``params``, swapping a path or storage —
+must raise the dirty flag (directly or via ``invalidate_topology`` /
+``_notify_topology_change``), or the executor keeps arbitrating
+yesterday's topology.
 
 The check is registry-driven: ``[tool.repro-lint]`` lists the modules
 under discipline (``topology-modules``), the attribute names that are

@@ -68,7 +68,7 @@ class Scope:
         Function/class name (``"<module>"`` / ``"<lambda>"``).
     owner_class:
         For functions defined directly inside a class body, that class's
-        name — how a domain knows ``self`` in ``TransferSession.step``
+        name — how a domain knows ``self`` in ``TransferSession.crash_worker``
         is a session.
     functions, classes:
         Names bound to ``def``/``class`` statements directly in this

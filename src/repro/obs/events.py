@@ -165,7 +165,7 @@ class EngineEventFired(TraceEvent):
 # ---------------------------------------------------------------------------
 
 
-@event("fluid.rebalance", emitted_by="repro.transfer.executor.FluidTransferNetwork.fluid_step")
+@event("fluid.rebalance", emitted_by="repro.transfer.executor.FluidTransferNetwork._emit_rebalance")
 class FluidRebalance(TraceEvent):
     """Per-step joint arbitration summary across all active sessions.
 
@@ -274,7 +274,7 @@ class SessionParamsChange(TraceEvent):
     pipelining: int = unit_field("-", "new pipelining depth", 1)
 
 
-@event("session.complete", emitted_by="repro.transfer.session.TransferSession.step")
+@event("session.complete", emitted_by="repro.transfer.session.TransferSession._finish_step")
 class SessionComplete(TraceEvent):
     """A session delivered its whole dataset."""
 

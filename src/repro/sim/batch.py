@@ -25,9 +25,10 @@ session's current arrays into a fresh store.
 
 Bit-for-bit parity
 ------------------
-The batched pass is required to reproduce the per-session path exactly
-(``tests/integration/test_batch_parity.py``).  Three rules make that
-hold:
+The batched pass is required to reproduce the per-session reference
+advance exactly (``session_step`` in ``tests/integration/per_session.py``,
+held to it by ``tests/integration/test_batch_parity.py``).  Three rules
+make that hold:
 
 * every elementwise update uses the same expression as the per-session
   code, with per-session scalars (loss goodput factor, TCP ramp blend)

@@ -22,16 +22,16 @@ Performance: the resource topology (groupings, member index arrays,
 stream/weight vectors, waterfill scratch) depends only on *which*
 sessions are attached and their worker counts / parallelism — not on
 per-step state — so it is built once and cached in a :class:`_Topology`.
-A dirty flag set by session add/remove and by ``set_params`` /
-worker-resize invalidates it; a cheap per-step fingerprint (session
-identities, worker counts, parallelism) is kept as a safety net against
-unreported changes.  See DESIGN.md "Performance".
+The dirty flag, raised by session add/remove and by ``set_params`` /
+worker resizes, is its only invalidation.  The converged equilibrium is
+cached next to it under one ``(demand_epoch, link_epoch)`` key.  See
+DESIGN.md "Performance".
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
 
@@ -61,15 +61,12 @@ class _Resource:
     # For links only: per-member stream counts (parallelism), else None.
     streams: np.ndarray | None = None
     link: Link | None = None
-    last_alloc: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # -- cached arbitration scaffolding (filled by _build_topology) --------
     #: ``members`` as a column vector, for 2-D fancy indexing.
     members_col: np.ndarray | None = None
     #: (m, k) indices of the *other* resources serving each member,
     #: padded with the always-inf sentinel column of the grants matrix.
     other_rows: np.ndarray | None = None
-    #: Per-step gather of the demand caps for this resource's members.
-    demand_sub: np.ndarray | None = None
     #: Links only: total stream count and the worst member-path RTT.
     n_flows: int = 0
     link_rtt: float = 0.0
@@ -79,68 +76,45 @@ class _Resource:
 class _Topology:
     """Cached per-step arbitration state for a fixed session set."""
 
-    fingerprint: tuple
     sessions: list[TransferSession]
     offsets: np.ndarray
     total: int
     resources: list[_Resource]
     #: Per-worker demand cap assuming the worker holds a file.
     caps_full: np.ndarray
-    #: Scratch: concatenated has_file mask, refreshed each step.
-    has_file: np.ndarray
     #: Scratch: grants[w, r] = resource r's last allocation to worker w.
     #: The extra final column stays +inf forever (padding sentinel).
     grants: np.ndarray
-    #: Per session, the ``id()`` of every link on its path (loss lookup).
-    session_link_ids: list[list[int]]
     #: The link-typed entries of ``resources`` (loss is computed per link).
     link_resources: list[_Resource]
     #: (n_sessions, max_path_links) rows into the per-step link-loss
     #: vector; padded with the vector's trailing zero-loss sentinel.
     session_link_rows: np.ndarray
-    #: Waterfill memo: the allocation is a pure function of the demand
-    #: caps for a fixed topology, and the caps only change when a worker
-    #: gains/loses a file — so identical caps replay the cached result.
-    memo_demand_cap: np.ndarray | None = None
-    memo_final: np.ndarray | None = None
-    #: Loss memo: losses are a pure function of the final allocation and
-    #: the links' fault state (``available``/``extra_loss``) for a fixed
-    #: topology, and steady-state steps replay the same allocation via
-    #: the waterfill memo above.  The fault state is part of the key
-    #: because loss bursts mutate links *without* invalidating the
-    #: topology (they don't change capacities, only loss).
-    memo_loss_final: np.ndarray | None = None
-    memo_loss_state: tuple | None = None
-    memo_losses: np.ndarray | None = None
-    #: Equilibrium epoch the memoized (final, losses) pair was computed
-    #: at: ``(demand_epoch, link_epoch)``.  While the executor's live
-    #: epoch pair still equals this key, nothing that feeds the
-    #: allocation has changed and the step can skip ``_demand_caps`` /
-    #: ``_waterfill`` / ``_session_losses`` entirely — the incremental
-    #: counterpart of the array-compare memos above, which still cover
-    #: the recompute path (e.g. a loss burst bumps the link epoch but
-    #: leaves demands untouched, so the waterfill memo still hits).
-    memo_key: tuple | None = None
-    #: Batched state store (None when the executor runs the per-session
-    #: path).  Rebuilt with the topology: sessions hold views into it.
-    batch: BatchStore | None = None
+    #: Batched state store: sessions hold views into it.
+    batch: BatchStore
+    #: Equilibrium cache: the ``(demand_epoch, link_epoch)`` pair the
+    #: ``demand_cap``/``final``/``losses`` below were computed at.  While
+    #: the executor's live pair still equals it, nothing that feeds the
+    #: allocation has changed and the step replays them as they are.
+    key: tuple | None = None
+    demand_cap: np.ndarray | None = None
+    final: np.ndarray | None = None
+    losses: np.ndarray | None = None
 
 
 class FluidTransferNetwork:
     """Holds the active sessions and arbitrates them each fluid step.
 
-    ``batched=True`` (the default) advances all sessions through the
-    contiguous :class:`~repro.sim.batch.BatchStore` in one vectorized
-    pass; ``batched=False`` keeps the per-session advance.  The two
-    paths are bit-identical (pinned by the batch parity test) — the
-    per-session path exists as the parity reference and for
-    worker-state layouts the store cannot host (none today).
+    All sessions advance through the contiguous
+    :class:`~repro.sim.batch.BatchStore` in one vectorized pass.  The
+    per-session advance it replaces lives on only as the parity
+    reference under ``tests/``.
 
-    ``adaptive=True`` (requires ``batched``) additionally flips the
-    engine into event-driven stepping: between discrete transitions the
-    allocation is provably constant, so the executor's jump planner
-    (:meth:`_plan_jump`) bounds how many grid steps are transition-free
-    and :meth:`_fluid_jump` covers them with one closed-form
+    ``adaptive=True`` additionally flips the engine into event-driven
+    stepping: between discrete transitions the allocation is provably
+    constant, so the executor's jump planner (:meth:`_plan_jump`)
+    bounds how many grid steps are transition-free and
+    :meth:`_fluid_jump` covers them with one closed-form
     :meth:`BatchStore.jump`.  Fixed-dt remains the oracle; adaptive
     runs match it to float round-off (rtol-pinned by the adaptive
     parity tests).
@@ -150,25 +124,21 @@ class FluidTransferNetwork:
     links' fault state.  Two counters — a *demand epoch* bumped by the
     session hooks whenever a worker gains/loses a file, and a *link
     epoch* bumped by the fault injector on loss-state changes — key the
-    cached pair (``_Topology.memo_key``); topology rebuilds discard it
-    wholesale.  Steady-state steps on both paths skip the waterfill
-    pipeline entirely.  Callers that mutate link fault state directly
-    (outside the injector) must call :meth:`note_link_fault`, exactly
-    as capacity mutators must call :meth:`invalidate_topology`.
+    cached pair (``_Topology.key``); topology rebuilds discard it
+    wholesale.  Steady-state steps skip the waterfill pipeline
+    entirely.  Callers that mutate link fault state directly (outside
+    the injector) must call :meth:`note_link_fault`, exactly as
+    capacity mutators must call :meth:`invalidate_topology`.
     """
 
     def __init__(
         self,
         engine: SimulationEngine,
         config: SimConfig = DEFAULT_CONFIG,
-        batched: bool = True,
         adaptive: bool = False,
     ):
         self.engine = engine
         self.config = config
-        self.batched = batched
-        if adaptive and not batched:
-            raise ValueError("adaptive stepping requires the batched executor")
         self.adaptive = adaptive
         self.sessions: list[TransferSession] = []
         self._topo: _Topology | None = None
@@ -178,9 +148,8 @@ class FluidTransferNetwork:
         self._demand_epoch = 0
         self._link_epoch = 0
         engine.fluid_step = self.fluid_step
-        if batched:
-            engine.jump_planner = self._plan_jump
-            engine.fluid_jump = self._fluid_jump
+        engine.jump_planner = self._plan_jump
+        engine.fluid_jump = self._fluid_jump
         if adaptive:
             engine.adaptive = True
 
@@ -212,7 +181,7 @@ class FluidTransferNetwork:
         session.on_topology_change = None
         session.on_demand_change = None
         topo = self._topo
-        if topo is not None and topo.batch is not None and session in topo.sessions:
+        if topo is not None and session in topo.sessions:
             # Freeze the departing session's state into standalone copies
             # so it stops aliasing the store (which the next step rebuilds).
             topo.batch.detach(session)
@@ -257,77 +226,88 @@ class FluidTransferNetwork:
         sessions = self.active_sessions()
         if not sessions:
             return
-        if not self.batched:
-            for s in sessions:
-                s.assign_files()
-
         topo = self._topology(sessions)
         if topo.total == 0:
             return
-        if topo.batch is not None:
-            # Start-of-step assignment, restricted to sessions that
-            # actually have an idle worker (assign_files is a no-op for
-            # the rest; the global reduction replaces N per-session scans).
-            busy = topo.batch.busy_counts()
-            for i in np.flatnonzero(busy < topo.batch.counts).tolist():
-                topo.sessions[i].assign_files()
+        self._assign_idle(topo)
+        final, losses = self._equilibrium(topo)
+        self._emit_rebalance(topo, sessions)
 
-        # Wall-clock reads below are profiling-only: they feed the
-        # optional PerfCounters report and never influence sim state.
-        # Each subsystem is timed over exactly its own call, so the
-        # attributions are exclusive and sum to less than the wall time.
+        # Wall-clock reads are profiling-only: they feed the optional
+        # PerfCounters report and never influence sim state.
+        prof = self.engine.profile
+        t0 = perf_counter()  # repro: lint-ok[F001]
+        topo.batch.step(dt, final, losses, now)
+        self._retire(sessions)
+        if prof is not None:
+            prof.add("session_step", perf_counter() - t0)  # repro: lint-ok[F001]
+
+    def _assign_idle(self, topo: _Topology) -> None:
+        """Start-of-step file assignment for sessions with an idle worker.
+
+        ``assign_files`` is a no-op for the rest; one global reduction
+        replaces N per-session scans.
+        """
+        batch = topo.batch
+        busy = batch.busy_counts()
+        for i in np.flatnonzero(busy < batch.counts).tolist():
+            topo.sessions[i].assign_files()
+
+    def _equilibrium(self, topo: _Topology) -> tuple[np.ndarray, np.ndarray]:
+        """The converged ``(final, losses)`` pair, from the epoch cache if fresh.
+
+        Each subsystem is timed over exactly its own call, so the
+        profiler's attributions are exclusive and sum to less than the
+        wall time.
+        """
         prof = self.engine.profile
         key = (self._demand_epoch, self._link_epoch)
         t0 = perf_counter()  # repro: lint-ok[F001]
-        if topo.memo_key == key and topo.memo_final is not None:
-            # Epoch hit: nothing feeding the equilibrium changed since
-            # the memoized pair was computed — replay it outright.
-            final = topo.memo_final
-            losses = topo.memo_losses
+        if topo.key == key:
             if prof is not None:
                 prof.add("equilibrium_cache", perf_counter() - t0)  # repro: lint-ok[F001]
         else:
-            demand_cap = self._demand_caps(topo)
+            # Workers holding a file keep their allocation warm even in
+            # a short inter-file gap (data-channel caching); workers with
+            # no file left demand nothing.
+            topo.demand_cap = np.where(topo.batch.has_file, topo.caps_full, 0.0)
             t1 = perf_counter()  # repro: lint-ok[F001]
-            final = self._waterfill(demand_cap, topo)
+            topo.final = self._waterfill(topo.demand_cap, topo)
             t2 = perf_counter()  # repro: lint-ok[F001]
-            losses = self._session_losses(topo, final)
-            topo.memo_key = key
+            topo.losses = self._session_losses(topo, topo.final)
+            topo.key = key
             if prof is not None:
                 t3 = perf_counter()  # repro: lint-ok[F001]
                 prof.add("demand_caps", t1 - t0)
                 prof.add("waterfill", t2 - t1)
                 prof.add("loss", t3 - t2)
-        assert losses is not None
+        assert topo.final is not None and topo.losses is not None
+        return topo.final, topo.losses
 
+    def _emit_rebalance(self, topo: _Topology, sessions: list[TransferSession]) -> None:
+        """Trace the allocation a step or jump runs on (when tracing).
+
+        Stamped with the step's start time (the engine sets
+        ``tracer.now`` before invoking the fluid callback).
+        """
         tracer = current_tracer()
-        if tracer is not None:
-            # Stamped with the step's start time (the engine sets
-            # tracer.now before invoking the fluid callback).
-            tracer.emit(
-                FluidRebalance,
-                sessions=len(sessions),
-                workers=topo.total,
-                demand_bps=float(topo.memo_demand_cap.sum()),
-                allocated_bps=float(final.sum()),
-            )
-            tracer.metrics.set("fluid.active_sessions", len(sessions))
+        if tracer is None:
+            return
+        assert topo.demand_cap is not None and topo.final is not None
+        tracer.emit(
+            FluidRebalance,
+            sessions=len(sessions),
+            workers=topo.total,
+            demand_bps=float(topo.demand_cap.sum()),
+            allocated_bps=float(topo.final.sum()),
+        )
+        tracer.metrics.set("fluid.active_sessions", len(sessions))
 
-        t4 = perf_counter()  # repro: lint-ok[F001]
-        if topo.batch is not None:
-            topo.batch.step(dt, final, losses, now)
-            for s in sessions:
-                if not s.active and s in self.sessions:
-                    self.remove_session(s)
-        else:
-            offsets = topo.offsets
-            for i, s in enumerate(sessions):
-                targets = final[offsets[i] : offsets[i + 1]]
-                s.step(dt, targets, float(losses[i]), now)
-                if not s.active and s in self.sessions:
-                    self.remove_session(s)
-        if prof is not None:
-            prof.add("session_step", perf_counter() - t4)  # repro: lint-ok[F001]
+    def _retire(self, sessions: list[TransferSession]) -> None:
+        """Detach the sessions that finished during the step."""
+        for s in sessions:
+            if not s.active and s in self.sessions:
+                self.remove_session(s)
 
     # -- adaptive jumps ----------------------------------------------------------
 
@@ -346,18 +326,12 @@ class FluidTransferNetwork:
         if not sessions:
             return max_steps
         topo = self._topology(sessions)
-        batch = topo.batch
-        if batch is None:
-            return 1
         if topo.total == 0:
             return max_steps
-        busy = batch.busy_counts()
-        for i in np.flatnonzero(busy < batch.counts).tolist():
-            topo.sessions[i].assign_files()
-        key = (self._demand_epoch, self._link_epoch)
-        if topo.memo_key != key or topo.memo_final is None:
+        self._assign_idle(topo)
+        if topo.key != (self._demand_epoch, self._link_epoch):
             return 1
-        t_next = batch.next_transition(now, topo.memo_final, topo.memo_losses)
+        t_next = topo.batch.next_transition(now, topo.final, topo.losses)
         if not math.isfinite(t_next):
             return max_steps
         return max(1, min(max_steps, int((t_next - now) / h)))
@@ -374,49 +348,27 @@ class FluidTransferNetwork:
         if not sessions:
             return
         topo = self._topology(sessions)
-        batch = topo.batch
-        if batch is None or topo.total == 0:
+        if topo.total == 0:
             return
-        final = topo.memo_final
-        losses = topo.memo_losses
+        final = topo.final
+        losses = topo.losses
         assert final is not None and losses is not None
         prof = self.engine.profile
         t0 = perf_counter()  # repro: lint-ok[F001]
-
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.emit(
-                FluidRebalance,
-                sessions=len(sessions),
-                workers=topo.total,
-                demand_bps=float(topo.memo_demand_cap.sum()),
-                allocated_bps=float(final.sum()),
-            )
-            tracer.metrics.set("fluid.active_sessions", len(sessions))
-
-        batch.jump(h, n, final, losses, now)
-        for s in sessions:
-            if not s.active and s in self.sessions:
-                self.remove_session(s)
+        self._emit_rebalance(topo, sessions)
+        topo.batch.jump(h, n, final, losses, now)
+        self._retire(sessions)
         if prof is not None:
             prof.add("session_step", perf_counter() - t0)  # repro: lint-ok[F001]
 
     # -- topology cache ----------------------------------------------------------
 
     def _topology(self, sessions: list[TransferSession]) -> _Topology:
-        """The cached topology, rebuilt only when stale.
-
-        The dirty flag is the primary invalidation mechanism; the
-        fingerprint catches direct mutations that bypassed the session
-        notification hook (e.g. tests poking worker arrays).
-        """
-        fingerprint = tuple(
-            (id(s), s.rates.size, s.params.parallelism) for s in sessions
-        )
+        """The cached topology, rebuilt only when the dirty flag is up."""
         topo = self._topo
-        if not self._dirty and topo is not None and topo.fingerprint == fingerprint:
+        if not self._dirty and topo is not None:
             return topo
-        topo = self._build_topology(sessions, fingerprint)
+        topo = self._build_topology(sessions)
         self._topo = topo
         self._dirty = False
         tracer = current_tracer()
@@ -430,9 +382,7 @@ class FluidTransferNetwork:
             tracer.metrics.inc("fluid.topology_rebuilds")
         return topo
 
-    def _build_topology(
-        self, sessions: list[TransferSession], fingerprint: tuple
-    ) -> _Topology:
+    def _build_topology(self, sessions: list[TransferSession]) -> _Topology:
         counts = np.array([s.rates.size for s in sessions])
         offsets = np.concatenate([[0], np.cumsum(counts)])
         total = int(offsets[-1])
@@ -478,30 +428,25 @@ class FluidTransferNetwork:
         # Loss scaffolding: which resource-list entries are links, and
         # each session's path as rows into the per-step loss vector
         # (padded with the sentinel slot that always holds zero loss).
-        session_link_ids = [[id(link) for link in s.path] for s in sessions]
         link_resources = [res for res in resources if res.link is not None]
         link_slot = {id(res.link): j for j, res in enumerate(link_resources)}
-        n_links = len(link_resources)
-        width = max((len(ids) for ids in session_link_ids), default=0)
+        width = max((len(s.path) for s in sessions), default=0)
         session_link_rows = np.full(
-            (len(sessions), max(width, 1)), n_links, dtype=np.intp
+            (len(sessions), max(width, 1)), len(link_resources), dtype=np.intp
         )
-        for i, ids in enumerate(session_link_ids):
-            session_link_rows[i, : len(ids)] = [link_slot[key] for key in ids]
+        for i, s in enumerate(sessions):
+            session_link_rows[i, : len(s.path)] = [link_slot[id(link)] for link in s.path]
 
         return _Topology(
-            fingerprint=fingerprint,
             sessions=list(sessions),
             offsets=offsets,
             total=total,
             resources=resources,
             caps_full=self._caps_full(sessions, offsets, total),
-            has_file=np.zeros(total, dtype=bool),
             grants=np.full((total, n_res + 1), np.inf),
-            session_link_ids=session_link_ids,
             link_resources=link_resources,
             session_link_rows=session_link_rows,
-            batch=BatchStore(sessions, offsets) if self.batched else None,
+            batch=BatchStore(sessions, offsets),
         )
 
     # -- demand caps -----------------------------------------------------------
@@ -530,23 +475,6 @@ class FluidTransferNetwork:
             )
             caps[offsets[i] : offsets[i + 1]] = per_worker
         return caps
-
-    def _demand_caps(self, topo: _Topology) -> np.ndarray:
-        """Per-worker rate caps this step (bps).
-
-        Workers holding a file keep their allocation warm even while in
-        a short inter-file gap (data-channel caching); workers with no
-        file left demand nothing.
-        """
-        if topo.batch is not None:
-            # Sessions hold views into the store: the global mask is
-            # already current, no per-session gather needed.
-            return np.where(topo.batch.has_file, topo.caps_full, 0.0)
-        has_file = topo.has_file
-        offsets = topo.offsets
-        for i, s in enumerate(topo.sessions):
-            has_file[offsets[i] : offsets[i + 1]] = s.has_file
-        return np.where(has_file, topo.caps_full, 0.0)
 
     # -- resource construction ----------------------------------------------------
 
@@ -634,29 +562,17 @@ class FluidTransferNetwork:
         stays +inf so the padded other-rows gather is a plain 2-D fancy
         index with no per-resource ``np.delete`` copies.
         """
-        # Memo hit: same caps, same topology -> same (pure) allocation.
-        if topo.memo_demand_cap is not None and np.array_equal(
-            demand_cap, topo.memo_demand_cap
-        ):
-            return topo.memo_final.copy()
-
         grants = topo.grants
         grants.fill(np.inf)
         resources = topo.resources
-        for res in resources:
-            res.demand_sub = demand_cap[res.members]
+        demand_subs = [demand_cap[res.members] for res in resources]
         for _ in range(_WATERFILL_ROUNDS):
             for r, res in enumerate(resources):
                 clamp = grants[res.members_col, res.other_rows].min(axis=1)
-                demands = np.minimum(res.demand_sub, clamp)
-                alloc = res.allocate(demands)
-                grants[res.members, r] = alloc
-                res.last_alloc = alloc
+                demands = np.minimum(demand_subs[r], clamp)
+                grants[res.members, r] = res.allocate(demands)
         final = np.minimum(demand_cap, grants[:, : len(resources)].min(axis=1))
-        final = np.where(np.isfinite(final), final, demand_cap)
-        topo.memo_demand_cap = demand_cap
-        topo.memo_final = final
-        return final.copy()
+        return np.where(np.isfinite(final), final, demand_cap)
 
     # -- loss -----------------------------------------------------------------------
 
@@ -667,17 +583,6 @@ class FluidTransferNetwork:
         precomputed session-path rows (the sentinel slot stays at zero
         loss, so row padding multiplies by exactly 1.0).
         """
-        # Memo hit: same allocation, same link fault state, same
-        # topology -> same (pure) losses.
-        fault_state = tuple(
-            (res.link.available, res.link.extra_loss) for res in topo.link_resources
-        )
-        if (
-            topo.memo_loss_final is not None
-            and topo.memo_loss_state == fault_state
-            and np.array_equal(final, topo.memo_loss_final)
-        ):
-            return topo.memo_losses
         n_links = len(topo.link_resources)
         loss_vec = np.zeros(n_links + 1)
         for j, res in enumerate(topo.link_resources):
@@ -686,11 +591,7 @@ class FluidTransferNetwork:
             # property of the shared queue, approximated with one RTT.
             loss_vec[j] = res.link.loss_rate(carried, res.n_flows, res.link_rtt)
         survive = np.prod(1.0 - loss_vec[topo.session_link_rows], axis=1)
-        losses = 1.0 - survive
-        topo.memo_loss_final = final
-        topo.memo_loss_state = fault_state
-        topo.memo_losses = losses
-        return losses
+        return 1.0 - survive
 
 
 def _flow_allocator(link: Link, streams: np.ndarray, weights: np.ndarray | None = None):

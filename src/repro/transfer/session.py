@@ -58,8 +58,8 @@ class TransferParams:
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
             # Coerce numpy integers (optimizer outputs) to built-in int so
-            # trace events, cache-key encodings, and topology fingerprints
-            # never see a np.int64 where JSON expects an int.
+            # trace events and cache-key encodings never see a np.int64
+            # where JSON expects an int.
             if not isinstance(value, int):
                 object.__setattr__(self, name, int(value))
 
@@ -379,72 +379,6 @@ class TransferSession:
 
     # -- fluid step ------------------------------------------------------------
 
-    def step(self, dt: float, targets: np.ndarray, loss_rate: float, now: float) -> None:
-        """Advance worker state by ``dt`` given allocated rate targets.
-
-        This is the standalone (per-session) path; when the session is
-        attached to a batched executor the
-        :class:`~repro.sim.batch.BatchStore` advances all sessions in
-        one pass instead, using the same elementwise expressions and the
-        same per-session reductions so outcomes are bit-identical (see
-        ``tests/integration/test_batch_parity.py``).
-
-        Parameters
-        ----------
-        targets:
-            Per-worker allocated equilibrium rates from the executor.
-        loss_rate:
-            Packet-loss fraction on this session's path this step.
-        now:
-            Simulation time at the *start* of the step.
-        """
-        self.current_loss = loss_rate
-        self.rates[:] = self.tcp.advance_rates(self.rates, targets, self._path_rtt, dt)
-
-        # Consume injected stalls first (hung workers move nothing), then
-        # gaps; remaining time per worker is what's left of dt.  The
-        # stall branch is skipped entirely when no stall is outstanding
-        # so the fault-free hot path stays bit-identical.
-        if self.stall_left.any():
-            stall_used = np.minimum(self.stall_left, dt)
-            self.stall_left -= stall_used
-            self.stalled_seconds += float(stall_used.sum())
-            budget = dt - stall_used
-            time_left = np.maximum(0.0, budget - self.gap_left)
-            self.gap_left[:] = np.maximum(0.0, self.gap_left - budget)
-        else:
-            time_left = np.maximum(0.0, dt - self.gap_left)
-            self.gap_left[:] = np.maximum(0.0, self.gap_left - dt)
-
-        goodput_factor = 1.0 - loss_rate
-        good_rate_Bps = self.rates * goodput_factor / 8.0
-
-        good_total = 0.0
-        # Workers that will actually move bytes this step (same guards
-        # the per-worker advance applies individually).
-        moving = np.flatnonzero(
-            self.has_file & (time_left > 1e-12) & (good_rate_Bps > 1e-9)
-        )
-        if moving.size:
-            need = self.file_size[moving] - self.file_done[moving]
-            finishes = (need / good_rate_Bps[moving]) <= time_left[moving]
-            # Streaming workers (the common case — no completion this
-            # step) advance in one vectorized update; only workers whose
-            # file actually finishes fall back to the per-worker cascade
-            # (queue pops, inter-file gaps, possible exhaustion).
-            streaming = moving[~finishes]
-            moved = good_rate_Bps[streaming] * time_left[streaming]
-            self.file_done[streaming] += moved
-            good_total = float(moved.sum())
-            if finishes.any():
-                for w in moving[finishes].tolist():
-                    good, _ = self._advance_worker(
-                        w, time_left[w], good_rate_Bps[w], goodput_factor
-                    )
-                    good_total += good
-        sent_total = good_total / goodput_factor if goodput_factor > 0 else good_total
-        self._finish_step(good_total, sent_total, dt, now)
-
     def _finish_step(
         self,
         good_total: float,
@@ -453,7 +387,8 @@ class TransferSession:
         now: float,
         idle_workers: bool = True,
     ) -> None:
-        """Per-step accounting shared by the standalone and batched paths.
+        """Per-step accounting after :class:`~repro.sim.batch.BatchStore`
+        has moved this session's bytes.
 
         ``idle_workers`` lets the batched pass skip the assignment and
         completion scan for sessions whose workers all still hold a file

@@ -82,7 +82,7 @@ def assert_states_close(adaptive: list[dict], fixed: list[dict]) -> None:
 def run_metro(adaptive: bool, sim_time: float = 3.0) -> list[dict]:
     """The 256-session metro ring: long steady-state spans."""
     engine = SimulationEngine(dt=0.1)
-    network = FluidTransferNetwork(engine, batched=True, adaptive=adaptive)
+    network = FluidTransferNetwork(engine, adaptive=adaptive)
     sessions = []
     for tb in metro():
         session = tb.new_session(
@@ -105,7 +105,7 @@ def run_faulted_competition(adaptive: bool) -> list[dict]:
     stall/crash/concurrency events hit the session-level hooks.
     """
     engine = SimulationEngine(dt=0.1)
-    network = FluidTransferNetwork(engine, batched=True, adaptive=adaptive)
+    network = FluidTransferNetwork(engine, adaptive=adaptive)
     backbone = Link(
         "backbone", 10 * Gbps, delay=milliseconds(10), loss_model=DropTailLossModel()
     )

@@ -42,7 +42,7 @@ def run_chaos(seed: int, preset: str, adaptive: bool) -> list:
     completion outcomes and not just byte counters.
     """
     engine = SimulationEngine(dt=DT)
-    network = FluidTransferNetwork(engine, batched=True, adaptive=adaptive)
+    network = FluidTransferNetwork(engine, adaptive=adaptive)
     sessions = []
     for i in range(3):
         session = emulab().new_session(

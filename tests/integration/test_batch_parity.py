@@ -1,10 +1,10 @@
 """Batched-engine parity: the BatchStore path must reproduce the
-per-session path exactly.
+per-session reference exactly.
 
-The batched refactor (ISSUE 6) is gated on this test: the contiguous
-global-array advance in `repro.sim.batch.BatchStore` promises the same
-simulation outcomes as the per-session reference path, down to the last
-float bit on the golden scenarios.  Three rules make bit-identity
+The contiguous global-array advance in `repro.sim.batch.BatchStore`
+promises the same simulation outcomes as the per-session reference
+(`PerSessionNetwork` in `tests/integration/per_session.py`), down to
+the last float bit on the golden scenarios.  Three rules make bit-identity
 achievable (same elementwise expressions, contiguous-slice reductions,
 per-worker cascade in worker order — see the `repro.sim.batch` module
 docstring); this test is what holds the implementation to them.
@@ -41,6 +41,7 @@ from repro.transfer.executor import FluidTransferNetwork
 from repro.transfer.session import TransferParams, TransferSession
 from repro.units import GB, Gbps, MB, milliseconds
 
+from tests.integration.per_session import PerSessionNetwork
 from tests.integration.test_golden_hotpath import run_scenario as run_golden_scenario
 
 
@@ -67,7 +68,9 @@ def session_state(s: TransferSession) -> dict:
     }
 
 
-def run_competition(batched: bool) -> list[dict]:
+def run_competition(
+    network_cls: type[FluidTransferNetwork] = FluidTransferNetwork,
+) -> list[dict]:
     """8 sessions x 64 workers, one saturated backbone, faults injected.
 
     Small files keep the completion cascade dense (many workers finish
@@ -75,7 +78,7 @@ def run_competition(batched: bool) -> list[dict]:
     branch and the view write-through of fault injection.
     """
     engine = SimulationEngine(dt=0.1)
-    network = FluidTransferNetwork(engine, batched=batched)
+    network = network_cls(engine)
     backbone = Link(
         "backbone", 10 * Gbps, delay=milliseconds(10), loss_model=DropTailLossModel()
     )
@@ -124,10 +127,10 @@ def run_competition(batched: bool) -> list[dict]:
     return [session_state(s) for s in sessions]
 
 
-def run_metro(batched: bool) -> list[dict]:
+def run_metro(network_cls: type[FluidTransferNetwork] = FluidTransferNetwork) -> list[dict]:
     """The 256-session metro ring, short horizon."""
     engine = SimulationEngine(dt=0.1)
-    network = FluidTransferNetwork(engine, batched=batched)
+    network = network_cls(engine)
     sessions = []
     for tb in metro():
         session = tb.new_session(
@@ -146,16 +149,16 @@ class TestBatchParity:
         # The existing golden scenario: worker resizes, a parallelism
         # change, and a session completing mid-run.  Exact equality —
         # every float bit, not approx.
-        assert run_golden_scenario(batched=True) == run_golden_scenario(batched=False)
+        assert run_golden_scenario() == run_golden_scenario(PerSessionNetwork)
 
     def test_competition_with_faults_bit_identical(self):
-        batched = run_competition(batched=True)
-        reference = run_competition(batched=False)
+        batched = run_competition()
+        reference = run_competition(PerSessionNetwork)
         assert batched == reference
 
     def test_metro_within_documented_tolerance(self):
-        batched = run_metro(batched=True)
-        reference = run_metro(batched=False)
+        batched = run_metro()
+        reference = run_metro(PerSessionNetwork)
         for got, want in zip(batched, reference):
             for key in ("files", "requeued", "crashes", "has_file", "attempts"):
                 assert got[key] == want[key], key

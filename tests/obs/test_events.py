@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 
 import pytest
 
@@ -29,6 +30,24 @@ class TestRegistry:
             instance = cls(time=0.0)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 instance.time = 1.0
+
+    def test_every_emitted_by_path_resolves(self):
+        # The schema doc names each event's instrumentation site; a
+        # renamed or deleted method must not leave a dangling name there.
+        for name, cls in EVENT_TYPES.items():
+            module_path, _, qualname = cls.emitted_by.rpartition(".")
+            while module_path:
+                try:
+                    target = importlib.import_module(module_path)
+                    break
+                except ModuleNotFoundError:
+                    module_path, _, head = module_path.rpartition(".")
+                    qualname = f"{head}.{qualname}"
+            else:
+                pytest.fail(f"{name}: no importable module in {cls.emitted_by!r}")
+            for attr in qualname.split("."):
+                assert hasattr(target, attr), f"{name}: {cls.emitted_by!r} does not resolve"
+                target = getattr(target, attr)
 
     def test_instances_are_immutable(self):
         ev = EngineStep(time=1.0, dt=0.1)

@@ -230,7 +230,7 @@ class TestEquilibriumEpochCache:
 
     def steady_setup(self, adaptive: bool = False):
         engine = SimulationEngine(dt=0.1)
-        net = FluidTransferNetwork(engine, batched=True, adaptive=adaptive)
+        net = FluidTransferNetwork(engine, adaptive=adaptive)
         # 1 GB files at a 100 Mbps bottleneck: nothing completes inside
         # these short runs, so demand stays frozen after the initial
         # assignment scan.
@@ -239,11 +239,6 @@ class TestEquilibriumEpochCache:
         )
         net.add_session(session)
         return engine, net, session
-
-    def test_adaptive_requires_batched_executor(self):
-        engine = SimulationEngine(dt=0.1)
-        with pytest.raises(ValueError):
-            FluidTransferNetwork(engine, batched=False, adaptive=True)
 
     def test_steady_state_steps_skip_the_waterfill(self):
         engine, net, _ = self.steady_setup()

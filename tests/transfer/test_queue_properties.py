@@ -34,6 +34,8 @@ from repro.transfer.dataset import Dataset, FileQueue
 from repro.transfer.session import TransferParams, TransferSession
 from repro.units import Gbps, Mbps
 
+from tests.integration.per_session import session_step
+
 
 # ---------------------------------------------------------------------------
 # FileQueue churn.
@@ -219,7 +221,7 @@ def test_session_conserves_files_and_bytes_under_fault_churn(data):
             dt = data.draw(st.floats(0.05, 2.0, allow_nan=False))
             rate = data.draw(st.sampled_from([8e2, 8e3, 8e4]))
             loss = data.draw(st.sampled_from([0.0, 0.0, 0.01]))
-            s.step(dt=dt, targets=np.full(workers, rate), loss_rate=loss, now=now)
+            session_step(s, dt=dt, targets=np.full(workers, rate), loss=loss, now=now)
             now += dt
         elif op == "crash":
             s.crash_worker(data.draw(st.integers(0, workers - 1)))
@@ -236,7 +238,7 @@ def test_session_conserves_files_and_bytes_under_fault_churn(data):
     for _ in range(10_000):
         if not s.active:
             break
-        s.step(dt=1.0, targets=np.full(s.rates.size, 8e4), loss_rate=0.0, now=now)
+        session_step(s, dt=1.0, targets=np.full(s.rates.size, 8e4), loss=0.0, now=now)
         now += 1.0
     assert not s.active
     assert s.files_completed == n_files

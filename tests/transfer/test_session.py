@@ -12,6 +12,8 @@ from repro.transfer.dataset import Dataset
 from repro.transfer.session import TransferParams, TransferSession
 from repro.units import GB, Gbps, Mbps
 
+from tests.integration.per_session import session_step
+
 
 def make_session(sizes=None, params=TransferParams(), repeat=False, rtt=0.03):
     storage = throttled_fs(100 * Mbps, 10 * Gbps)
@@ -117,14 +119,14 @@ class TestStep:
         s = make_session(sizes=[1 * GB], params=TransferParams(concurrency=1))
         s.gap_left[:] = 0.0
         s.rates[:] = 8e8  # 100 MB/s
-        s.step(dt=1.0, targets=np.array([8e8]), loss_rate=0.0, now=0.0)
+        session_step(s, dt=1.0, targets=np.array([8e8]), loss=0.0, now=0.0)
         assert s.file_done[0] == pytest.approx(1e8, rel=0.01)
 
     def test_gap_blocks_progress(self):
         s = make_session(sizes=[1 * GB], params=TransferParams(concurrency=1))
         s.gap_left[:] = 5.0
         s.rates[:] = 8e8
-        s.step(dt=1.0, targets=np.array([8e8]), loss_rate=0.0, now=0.0)
+        session_step(s, dt=1.0, targets=np.array([8e8]), loss=0.0, now=0.0)
         assert s.file_done[0] == 0.0
         assert s.gap_left[0] == pytest.approx(4.0)
 
@@ -132,7 +134,7 @@ class TestStep:
         s = make_session(sizes=[1 * GB], params=TransferParams(concurrency=1))
         s.gap_left[:] = 0.0
         s.rates[:] = 8e8
-        s.step(dt=1.0, targets=np.array([8e8]), loss_rate=0.1, now=0.0)
+        session_step(s, dt=1.0, targets=np.array([8e8]), loss=0.1, now=0.0)
         assert s.file_done[0] == pytest.approx(0.9e8, rel=0.01)
 
     def test_file_completion_cascades(self):
@@ -140,14 +142,14 @@ class TestStep:
         s = make_session(sizes=[1000.0] * 20, params=TransferParams(concurrency=1), rtt=0.0)
         s.gap_left[:] = 0.0
         s.rates[:] = 8e4  # 10 KB/s -> 10 files/s
-        s.step(dt=1.0, targets=np.array([8e4]), loss_rate=0.0, now=0.0)
+        session_step(s, dt=1.0, targets=np.array([8e4]), loss=0.0, now=0.0)
         assert s.files_completed >= 8
 
     def test_completion_sets_finished(self):
         s = make_session(sizes=[100.0], params=TransferParams(concurrency=1))
         s.gap_left[:] = 0.0
         s.rates[:] = 8e8
-        s.step(dt=1.0, targets=np.array([8e8]), loss_rate=0.0, now=5.0)
+        session_step(s, dt=1.0, targets=np.array([8e8]), loss=0.0, now=5.0)
         assert not s.active
         assert s.finished_at == pytest.approx(6.0)
 
@@ -157,14 +159,14 @@ class TestStep:
         s.on_complete = done.append
         s.gap_left[:] = 0.0
         s.rates[:] = 8e8
-        s.step(dt=1.0, targets=np.array([8e8]), loss_rate=0.0, now=0.0)
+        session_step(s, dt=1.0, targets=np.array([8e8]), loss=0.0, now=0.0)
         assert done == [s]
 
     def test_monitor_accumulates(self):
         s = make_session(sizes=[1 * GB], params=TransferParams(concurrency=1))
         s.gap_left[:] = 0.0
         s.rates[:] = 8e8
-        s.step(dt=1.0, targets=np.array([8e8]), loss_rate=0.0, now=0.0)
+        session_step(s, dt=1.0, targets=np.array([8e8]), loss=0.0, now=0.0)
         sample = s.monitor.take(concurrency=1)
         assert sample.throughput_bps == pytest.approx(8e8, rel=0.01)
 
@@ -172,8 +174,8 @@ class TestStep:
         """Each live worker is a process on the source *and* the
         destination, so one step of n workers costs 2*n*dt."""
         s = make_session(params=TransferParams(concurrency=3))
-        s.step(dt=1.0, targets=np.full(3, 8e6), loss_rate=0.0, now=0.0)
-        s.step(dt=0.5, targets=np.full(3, 8e6), loss_rate=0.0, now=1.0)
+        session_step(s, dt=1.0, targets=np.full(3, 8e6), loss=0.0, now=0.0)
+        session_step(s, dt=0.5, targets=np.full(3, 8e6), loss=0.0, now=1.0)
         assert s.process_seconds == pytest.approx(2 * 3 * 1.5)
 
     def test_total_good_bytes_tracks(self):
@@ -181,7 +183,7 @@ class TestStep:
         s.gap_left[:] = 0.0
         s.rates[:] = 8e8
         for i in range(3):
-            s.step(dt=1.0, targets=np.array([8e8]), loss_rate=0.0, now=float(i))
+            session_step(s, dt=1.0, targets=np.array([8e8]), loss=0.0, now=float(i))
         assert s.total_good_bytes == pytest.approx(3e8, rel=0.01)
 
 
