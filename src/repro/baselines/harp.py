@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from repro.transfer.session import TransferParams, TransferSession
 from repro.units import Gbps
@@ -88,6 +87,8 @@ def fit_throughput_curve(
     t_max = float(t.max())
     if t_max <= 0:
         return 0.0, 1.0
+    from scipy.optimize import curve_fit  # deferred: only HARP runs need scipy
+
     try:
         (t_sat, h), _ = curve_fit(
             _saturating,

@@ -7,8 +7,25 @@ the GP-Hedge portfolio is running.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.stats import norm
+
+
+def _norm_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise, through :func:`math.erfc`.
+
+    ``erfc`` of the negated argument keeps full relative precision in
+    the lower tail, where ``1 + erf`` would cancel to zero.
+    """
+    z = np.asarray(z, dtype=float)
+    flat = [0.5 * math.erfc(-v / math.sqrt(2)) for v in z.ravel().tolist()]
+    return np.array(flat, dtype=float).reshape(z.shape)
+
+
+def _norm_pdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal density, elementwise (scipy's ``norm.pdf`` expression)."""
+    return np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
 
 
 def expected_improvement(
@@ -29,7 +46,7 @@ def expected_improvement(
     std = np.maximum(np.asarray(std, dtype=float), 1e-12)
     improvement = mean - best - xi
     z = improvement / std
-    return improvement * norm.cdf(z) + std * norm.pdf(z)
+    return improvement * _norm_cdf(z) + std * _norm_pdf(z)
 
 
 def probability_of_improvement(
@@ -38,7 +55,7 @@ def probability_of_improvement(
     """PI: probability a point beats the incumbent by at least ``xi``."""
     mean = np.asarray(mean, dtype=float)
     std = np.maximum(np.asarray(std, dtype=float), 1e-12)
-    return norm.cdf((mean - best - xi) / std)
+    return _norm_cdf((mean - best - xi) / std)
 
 
 def upper_confidence_bound(

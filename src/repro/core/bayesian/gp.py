@@ -10,12 +10,14 @@ signal variance) are fitted by maximising the log marginal likelihood
 over a small log-spaced grid, which is robust, deterministic, and cheap
 for 1-D problems — gradient-based MLL optimisation would be overkill
 and flakier under the noise levels transfer sampling produces.
+
+:mod:`scipy.linalg` is imported inside the methods that use it, so
+only a run that actually fits a GP pays scipy's import time.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from repro.core.bayesian.kernels import RBFKernel
 
@@ -58,6 +60,8 @@ class GaussianProcess:
             Grid-search the kernel hyperparameters by marginal
             likelihood before conditioning.
         """
+        from scipy.linalg import cho_factor, cho_solve
+
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[0] == 1 and x.shape[1] > 1:
             x = x.T
@@ -96,6 +100,8 @@ class GaussianProcess:
         return best
 
     def _log_marginal_likelihood(self, x: np.ndarray, z: np.ndarray, kernel) -> float:
+        from scipy.linalg import cho_factor, cho_solve
+
         k = kernel(x, x)
         k[np.diag_indices_from(k)] += self.noise**2 + 1e-8
         try:
@@ -116,6 +122,8 @@ class GaussianProcess:
         (mean, std):
             Arrays of shape ``(m,)`` in *original* target units.
         """
+        from scipy.linalg import cho_solve
+
         if self._x is None:
             raise RuntimeError("predict() before fit()")
         x_star = np.atleast_2d(np.asarray(x_star, dtype=float))

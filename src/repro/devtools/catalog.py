@@ -40,7 +40,6 @@ Useful invocations:
 $ repro lint src/repro                      # human output, exit 1 on findings
 $ repro lint --format json                  # machine-readable findings
 $ repro lint --sarif lint-results.sarif     # SARIF 2.1.0 for CI dashboards
-$ repro lint --baseline lint-baseline.json  # fail only on *new* findings
 $ repro lint --list-checks                  # the table below, one line each
 ```
 """

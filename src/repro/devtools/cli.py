@@ -58,16 +58,6 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
         help="additionally write findings as SARIF 2.1.0 to PATH ('-' for stdout)",
     )
     lint.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="only fail on findings not recorded in this baseline file",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        metavar="PATH",
-        help="write the current findings to PATH as the new baseline and exit 0",
-    )
-    lint.add_argument(
         "--list-checks",
         action="store_true",
         help="print the registered checks and exit",
@@ -102,20 +92,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     findings = lint_paths(paths, config=config)
 
-    if args.update_baseline:
-        from repro.devtools.baseline import write_baseline
-
-        write_baseline(findings, Path(args.update_baseline))
-        n = len(findings)
-        print(f"baseline: recorded {n} finding{'s' if n != 1 else ''} in {args.update_baseline}")
-        return 0
-
-    suppressed = 0
-    if args.baseline:
-        from repro.devtools.baseline import filter_baselined, load_baseline
-
-        findings, suppressed = filter_baselined(findings, load_baseline(Path(args.baseline)))
-
     if args.sarif:
         from repro.devtools.sarif import render_sarif
 
@@ -129,6 +105,4 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(render_json(findings))
     else:
         print(render_human(findings))
-        if suppressed:
-            print(f"baseline: {suppressed} accepted finding{'s' if suppressed != 1 else ''} hidden")
     return 1 if findings else 0

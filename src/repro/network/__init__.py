@@ -13,16 +13,14 @@ view depends on:
 """
 
 from repro.network.link import Link
-from repro.network.path import Path, Topology, build_dumbbell, shortest_path
+from repro.network.path import Path, build_dumbbell
 from repro.network.queue import DropTailLossModel, LossModel, NoLossModel
 from repro.network.tcp import BBR, CUBIC, HSTCP, RENO, TcpModel, stream_window_cap
 
 __all__ = [
     "Link",
     "Path",
-    "Topology",
     "build_dumbbell",
-    "shortest_path",
     "BBR",
     "CUBIC",
     "HSTCP",

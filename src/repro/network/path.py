@@ -1,18 +1,14 @@
-"""Multi-hop paths and topology helpers.
+"""Multi-hop paths.
 
 A :class:`Path` is the ordered sequence of links a transfer's streams
-traverse.  Topologies are plain :mod:`networkx` graphs whose edges carry
-:class:`~repro.network.link.Link` objects, with :func:`shortest_path`
-extracting the link sequence between two hosts.  :func:`build_dumbbell`
-builds the classic two-host/one-bottleneck topology of the paper's
-Emulab experiments (Fig. 3).
+traverse.  :func:`build_dumbbell` builds the classic
+two-host/one-bottleneck topology of the paper's Emulab experiments
+(Fig. 3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import networkx as nx
+from dataclasses import dataclass
 
 from repro.network.link import Link
 from repro.network.queue import DropTailLossModel, NoLossModel
@@ -52,32 +48,6 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.links)
-
-
-@dataclass
-class Topology:
-    """A named collection of hosts and links on a networkx graph."""
-
-    graph: nx.Graph = field(default_factory=nx.Graph)
-
-    def add_host(self, name: str) -> None:
-        """Register a host node."""
-        self.graph.add_node(name)
-
-    def connect(self, a: str, b: str, link: Link) -> None:
-        """Join two nodes with a (bidirectional, shared-capacity) link."""
-        self.graph.add_edge(a, b, link=link)
-
-    def path(self, src: str, dst: str) -> Path:
-        """Shortest (hop-count) path between two hosts."""
-        return shortest_path(self.graph, src, dst)
-
-
-def shortest_path(graph: nx.Graph, src: str, dst: str) -> Path:
-    """Extract the Link sequence along the hop-shortest route."""
-    nodes = nx.shortest_path(graph, src, dst)
-    links = tuple(graph.edges[u, v]["link"] for u, v in zip(nodes, nodes[1:]))
-    return Path(links=links, name=f"{src}->{dst}")
 
 
 def build_dumbbell(

@@ -117,42 +117,3 @@ def test_sarif_is_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert a.read_text(encoding="utf-8") == b.read_text(encoding="utf-8")
 
-
-def test_baseline_update_then_filter(tmp_path, capsys):
-    bad = write_bad_module(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", str(bad), "--no-config", "--update-baseline", str(baseline)]) == 0
-    assert "recorded 2 findings" in capsys.readouterr().out
-
-    assert main(["lint", str(bad), "--no-config", "--baseline", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "clean: no findings" in out
-    assert "2 accepted findings hidden" in out
-
-
-def test_baseline_fails_on_new_findings_only(tmp_path, capsys):
-    bad = write_bad_module(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    main(["lint", str(bad), "--no-config", "--update-baseline", str(baseline)])
-    capsys.readouterr()
-
-    bad.write_text(
-        bad.read_text(encoding="utf-8") + "import secrets\n", encoding="utf-8"
-    )
-    assert main(["lint", str(bad), "--no-config", "--baseline", str(baseline)]) == 1
-    out = capsys.readouterr().out
-    assert "secrets" in out or "F001" in out
-    assert "2 accepted findings hidden" in out
-
-
-def test_baseline_is_line_shift_tolerant(tmp_path, capsys):
-    bad = write_bad_module(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    main(["lint", str(bad), "--no-config", "--update-baseline", str(baseline)])
-    capsys.readouterr()
-
-    # Prepending harmless lines shifts every finding; fingerprints are
-    # line-independent so the baseline still covers them.
-    bad.write_text('"""doc."""\nX = 1\n' + bad.read_text(encoding="utf-8"), encoding="utf-8")
-    assert main(["lint", str(bad), "--no-config", "--baseline", str(baseline)]) == 0
-    capsys.readouterr()

@@ -33,14 +33,17 @@ from repro.transfer.session import TransferParams
 from repro.units import Gbps, MB, Mbps, milliseconds
 
 
-def run_scenario(network_cls: type[FluidTransferNetwork] = FluidTransferNetwork) -> dict:
+def run_scenario(
+    network_cls: type[FluidTransferNetwork] = FluidTransferNetwork, adaptive: bool = False
+) -> dict:
     """Three site pairs crossing one lossy 1 Gbps backbone, 90 s.
 
     ``network_cls`` selects the executor; the batch parity test runs
     this same scenario on the per-session reference too and requires
     bit-identical outcomes (see ``tests/integration/test_batch_parity.py``).
+    ``adaptive`` turns on the engine's adaptive stepping.
     """
-    engine = SimulationEngine(dt=0.1)
+    engine = SimulationEngine(dt=0.1, adaptive=adaptive)
     network = network_cls(engine)
     backbone = Link(
         "backbone", 1 * Gbps, delay=milliseconds(10), loss_model=DropTailLossModel()

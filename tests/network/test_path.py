@@ -1,11 +1,11 @@
-"""Path and topology tests."""
+"""Path tests."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.network.link import Link
-from repro.network.path import Path, Topology, build_dumbbell, shortest_path
+from repro.network.path import Path, build_dumbbell
 from repro.units import Gbps, Mbps, milliseconds
 
 
@@ -72,32 +72,3 @@ class TestDumbbell:
             else:
                 assert loss == 0.0
 
-
-class TestTopology:
-    def test_shortest_path_extraction(self):
-        topo = Topology()
-        for host in ("src", "router", "dst"):
-            topo.add_host(host)
-        topo.connect("src", "router", Link("l1", 1e9, 0.001))
-        topo.connect("router", "dst", Link("l2", 1e8, 0.002))
-        path = topo.path("src", "dst")
-        assert [l.name for l in path] == ["l1", "l2"]
-        assert path.capacity == 1e8
-
-    def test_shortest_path_prefers_fewer_hops(self):
-        topo = Topology()
-        for host in ("a", "b", "c"):
-            topo.add_host(host)
-        topo.connect("a", "b", Link("ab", 1e9))
-        topo.connect("b", "c", Link("bc", 1e9))
-        topo.connect("a", "c", Link("ac", 1e8))
-        path = topo.path("a", "c")
-        assert [l.name for l in path] == ["ac"]
-
-    def test_shortest_path_function(self):
-        topo = Topology()
-        topo.add_host("x")
-        topo.add_host("y")
-        topo.connect("x", "y", Link("xy", 1e9))
-        path = shortest_path(topo.graph, "x", "y")
-        assert path.name == "x->y"
