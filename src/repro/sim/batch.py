@@ -44,6 +44,17 @@ make that hold:
   session's per-worker cascade (`TransferSession._advance_worker`), in
   ascending worker order — the same order, and therefore the same queue
   pops and float accumulation, as the per-session path.
+
+At small widths a step costs its count of numpy calls, not their
+arithmetic, so the step path uses ufuncs and ndarray methods
+(``mask.nonzero()[0]``, ``arr.searchsorted``, ``np.count_nonzero``,
+in-place ``+=``) instead of numpy's Python wrappers (``np.flatnonzero``,
+``np.diff``, ``np.searchsorted``).  No value moves: the wrappers call
+the same C routines, ``a += b`` rounds exactly as ``a + b``, and the
+``.tolist()`` floats the per-session loops read are the doubles
+``float(arr[i])`` returns.  The goodput factors (:meth:`goodput_of`)
+are cached with the executor's equilibrium, and the idle flags
+(:attr:`BatchStore.idle`) of one step's end serve the next step's start.
 """
 
 from __future__ import annotations
@@ -73,6 +84,9 @@ class BatchStore:
         self.offsets = np.asarray(offsets, dtype=np.intp)
         self.counts = np.diff(self.offsets)
         self.total = int(self.offsets[-1]) if self.offsets.size else 0
+        #: Per session: does some worker hold no file?  From
+        #: :meth:`scan_idle`; ``None`` until the first scan.
+        self.idle: list[bool] | None = None
 
         n = self.total
         self.rates = np.empty(n)
@@ -133,13 +147,16 @@ class BatchStore:
 
     # -- per-session idle bookkeeping ----------------------------------------
 
-    def busy_counts(self) -> np.ndarray:
-        """Workers holding a file, per session (one global reduction).
+    def scan_idle(self) -> list[bool]:
+        """Per session: does some worker hold no file?  One global reduction.
 
-        ``np.add.reduceat`` is safe here: the result is only ever
-        compared against worker counts, never fed into float state.
+        Kept in :attr:`idle`, which stays a superset of the idle
+        sessions until a worker loses a file.  Every such loss reports a
+        demand change, on which the executor clears :attr:`idle`.
+        (``reduceat`` only steers assignment here, never float state.)
         """
-        return np.add.reduceat(self.has_file.astype(np.int64), self.offsets[:-1])
+        self.idle = (~np.logical_and.reduceat(self.has_file, self.offsets[:-1])).tolist()
+        return self.idle
 
     # -- the batched advance --------------------------------------------------
 
@@ -172,11 +189,24 @@ class BatchStore:
             entry = self._blend_cache[dt] = (per_session, per_session[self._expand])
         return entry
 
-    def _blend_for(self, dt: float) -> np.ndarray:
-        """Per-worker TCP ramp blend (see :meth:`_blends_for`)."""
-        return self._blends_for(dt)[1]
+    def goodput_of(self, losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(per_session, per_worker)`` goodput factors ``1 - losses``.
 
-    def step(self, dt: float, targets: np.ndarray, losses: np.ndarray, now: float) -> None:
+        The executor computes them once per equilibrium, for every
+        :meth:`step` and :meth:`jump` that replays it.
+        """
+        goodput = 1.0 - losses
+        return goodput, goodput[self._expand]
+
+    def step(
+        self,
+        dt: float,
+        targets: np.ndarray,
+        losses: np.ndarray,
+        now: float,
+        goodput: np.ndarray,
+        gf_w: np.ndarray,
+    ) -> None:
         """Advance every session by ``dt`` in one vectorized pass.
 
         Parameters
@@ -188,102 +218,126 @@ class BatchStore:
             Per-session path-loss fractions this step.
         now:
             Simulation time at the *start* of the step.
+        goodput, gf_w:
+            ``goodput_of(losses)``: per-session and per-worker goodput
+            factors.
         """
-        sessions = self.sessions
-        n_sess = len(sessions)
-        offsets = self.offsets
-
-        goodput = 1.0 - losses
-        gf_w = goodput[self._expand]
-
         # TCP dynamics: instant decrease, exponential relaxation up —
-        # the same expression as TcpModel.advance_rates, in place.
+        # the same expression as TcpModel.advance_rates, in place:
+        # rates + (targets - rates) * blend, then targets where lower.
         rates = self.rates
-        blend = self._blend_for(dt)
-        ramped = rates + (targets - rates) * blend
-        rates[:] = np.where(targets < rates, targets, ramped)
+        decrease = targets < rates
+        ramp = targets - rates
+        ramp *= self._blends_for(dt)[1]
+        rates += ramp
+        np.copyto(rates, targets, where=decrease)
 
         # Stalls first (hung workers move nothing), then gaps.  Workers
         # with no stall see budget == dt exactly, so running every
         # session through the stall branch is value-identical to the
         # per-session path's branch-per-session structure.
-        if self.stall_left.any():
+        gap_left = self.gap_left
+        if np.count_nonzero(self.stall_left):
             stall_used = np.minimum(self.stall_left, dt)
             self.stall_left -= stall_used
-            consumed = np.add.reduceat(stall_used, offsets[:-1])
-            for i in np.flatnonzero(consumed > 0.0).tolist():
-                lo, hi = offsets[i], offsets[i + 1]
-                sessions[i].stalled_seconds += float(stall_used[lo:hi].sum())
+            self._note_stalls(stall_used)
             budget = dt - stall_used
-            time_left = np.maximum(0.0, budget - self.gap_left)
-            self.gap_left[:] = np.maximum(0.0, self.gap_left - budget)
+            time_left = np.maximum(0.0, budget - gap_left)
+            gap_left -= budget
         else:
-            time_left = np.maximum(0.0, dt - self.gap_left)
-            self.gap_left[:] = np.maximum(0.0, self.gap_left - dt)
+            time_left = np.maximum(0.0, dt - gap_left)
+            gap_left -= dt
+        np.maximum(0.0, gap_left, out=gap_left)
 
-        good_rate_Bps = rates * gf_w / 8.0
+        good_rate_Bps = rates * gf_w
+        good_rate_Bps /= 8.0
 
-        good_totals = [0.0] * n_sess
-        cascade_sessions = 0
-        cascade_workers = 0
-        moving = np.flatnonzero(
+        good_totals = [0.0] * len(self.sessions)
+        moving = (
             self.has_file & (time_left > 1e-12) & (good_rate_Bps > 1e-9)
-        )
+        ).nonzero()[0]
         if moving.size:
-            need = self.file_size[moving] - self.file_done[moving]
-            finishes = (need / good_rate_Bps[moving]) <= time_left[moving]
+            done = self.file_done[moving]
+            speed = good_rate_Bps[moving]
+            left = time_left[moving]
+            finishes = ((self.file_size[moving] - done) / speed) <= left
+            n_finish = np.count_nonzero(finishes)
 
             # Streaming workers (no completion this step): one global
-            # update, then per-session contiguous-slice sums.
-            streaming = moving[~finishes]
-            moved = good_rate_Bps[streaming] * time_left[streaming]
-            self.file_done[streaming] += moved
-            bounds = np.searchsorted(streaming, offsets)
-            for i in np.flatnonzero(np.diff(bounds)).tolist():
-                good_totals[i] = float(moved[bounds[i] : bounds[i + 1]].sum())
+            # update, then per-session contiguous-slice sums.  Without a
+            # completion they are all of ``moving`` and the gathers above
+            # serve as they are.
+            streaming = moving
+            if n_finish:
+                keep = ~finishes
+                streaming, done, speed, left = moving[keep], done[keep], speed[keep], left[keep]
+            moved = speed * left
+            self.file_done[streaming] = done + moved
+            self._slice_sums(streaming, moved, good_totals)
 
             # Completion cascade: only workers that actually finish a
             # file fall back to the per-worker advance, in worker order.
-            if finishes.any():
+            if n_finish:
                 cascading = moving[finishes]
-                cascade_workers = int(cascading.size)
-                w_bounds = np.searchsorted(cascading, offsets)
-                for i in np.flatnonzero(np.diff(w_bounds)).tolist():
+                cuts = cascading.searchsorted(self.offsets).tolist()
+                gfs = goodput.tolist()
+                cascade_sessions = 0
+                for i, s in enumerate(self.sessions):
+                    if cuts[i] == cuts[i + 1]:
+                        continue
                     cascade_sessions += 1
-                    s = sessions[i]
-                    base = int(offsets[i])
-                    gf = float(goodput[i])
+                    base = int(self.offsets[i])
                     total = good_totals[i]
-                    for w in cascading[w_bounds[i] : w_bounds[i + 1]].tolist():
+                    for w in cascading[cuts[i] : cuts[i + 1]].tolist():
                         good, _ = s._advance_worker(
-                            w - base,
-                            float(time_left[w]),
-                            float(good_rate_Bps[w]),
-                            gf,
+                            w - base, float(time_left[w]), float(good_rate_Bps[w]), gfs[i]
                         )
                         total += good
                     good_totals[i] = total
 
-        if cascade_workers:
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.emit(
-                    BatchCascadeFallback,
-                    sessions=cascade_sessions,
-                    workers=cascade_workers,
-                )
-                tracer.metrics.inc("fluid.cascade_fallbacks")
+                tracer = current_tracer()
+                if tracer is not None:
+                    tracer.emit(
+                        BatchCascadeFallback,
+                        sessions=cascade_sessions,
+                        workers=int(cascading.size),
+                    )
+                    tracer.metrics.inc("fluid.cascade_fallbacks")
 
-        # Per-session accounting and file assignment.  Only sessions
-        # with an idle worker need the assignment/completion scan.
-        busy = self.busy_counts()
-        counts = self.counts
-        for i, s in enumerate(sessions):
-            gf = float(goodput[i])
-            good = good_totals[i]
-            sent = good / gf if gf > 0 else good
-            s.current_loss = float(losses[i])
-            s._finish_step(good, sent, dt, now, idle_workers=bool(busy[i] < counts[i]))
+        self._finish(good_totals, losses, goodput, dt, now)
+
+    def _slice_sums(
+        self, workers: np.ndarray, moved: np.ndarray, good_totals: list[float]
+    ) -> None:
+        """Set each session's total to its slice sum of ``moved`` (rows ``workers``)."""
+        cuts = workers.searchsorted(self.offsets).tolist()
+        for i in range(len(good_totals)):
+            if cuts[i] != cuts[i + 1]:
+                good_totals[i] = float(moved[cuts[i] : cuts[i + 1]].sum())
+
+    def _finish(
+        self,
+        good_totals: list[float],
+        losses: np.ndarray,
+        goodput: np.ndarray,
+        dt: float,
+        now: float,
+    ) -> None:
+        """Per-session accounting; assignment only where a worker idles."""
+        idle = self.scan_idle()
+        for s, good, gf, loss, has_idle in zip(
+            self.sessions, good_totals, goodput.tolist(), losses.tolist(), idle
+        ):
+            s.current_loss = loss
+            s._finish_step(good, good / gf if gf > 0 else good, dt, now, idle_workers=has_idle)
+
+    def _note_stalls(self, stall_used: np.ndarray) -> None:
+        """Add each session's consumed stall seconds to its counter."""
+        offsets = self.offsets
+        consumed = np.add.reduceat(stall_used, offsets[:-1])
+        for i in (consumed > 0.0).nonzero()[0].tolist():
+            lo, hi = offsets[i], offsets[i + 1]
+            self.sessions[i].stalled_seconds += float(stall_used[lo:hi].sum())
 
     # -- adaptive stepping -----------------------------------------------------
 
@@ -306,8 +360,7 @@ class BatchStore:
         nothing bounds the span (e.g. every remaining worker is
         fileless and demands nothing).
         """
-        gf_w = (1.0 - losses)[self._expand]
-        good_rate_Bps = targets * gf_w / 8.0
+        good_rate_Bps = targets * self.goodput_of(losses)[1] / 8.0
         idle_time = self.stall_left + self.gap_left
         bound = np.inf
         movers = self.has_file & (idle_time <= 0.0) & (good_rate_Bps > 1e-9)
@@ -320,7 +373,14 @@ class BatchStore:
         return now + bound
 
     def jump(
-        self, h: float, n: int, targets: np.ndarray, losses: np.ndarray, now: float
+        self,
+        h: float,
+        n: int,
+        targets: np.ndarray,
+        losses: np.ndarray,
+        now: float,
+        goodput: np.ndarray,
+        gf_w: np.ndarray,
     ) -> None:
         """Advance every session by ``n`` grid steps of size ``h`` at once.
 
@@ -342,13 +402,7 @@ class BatchStore:
         preserved; tail-windowed samples see coarser granularity, but
         agent sample boundaries are engine events, which bound jumps).
         """
-        sessions = self.sessions
-        n_sess = len(sessions)
-        offsets = self.offsets
         span = h * n
-
-        goodput = 1.0 - losses
-        gf_w = goodput[self._expand]
 
         blend_s, _ = self._blends_for(h)
         q_s = 1.0 - blend_s
@@ -368,13 +422,10 @@ class BatchStore:
         # Stall/gap budgets drain linearly and sequentially, so the
         # n-step drain equals one span-sized drain (same expressions as
         # :meth:`step` with dt = span).
-        if self.stall_left.any():
+        if np.count_nonzero(self.stall_left):
             stall_used = np.minimum(self.stall_left, span)
             self.stall_left -= stall_used
-            consumed = np.add.reduceat(stall_used, offsets[:-1])
-            for i in np.flatnonzero(consumed > 0.0).tolist():
-                lo, hi = offsets[i], offsets[i + 1]
-                sessions[i].stalled_seconds += float(stall_used[lo:hi].sum())
+            self._note_stalls(stall_used)
             budget = span - stall_used
             time_left = np.maximum(0.0, budget - self.gap_left)
             self.gap_left[:] = np.maximum(0.0, self.gap_left - budget)
@@ -386,21 +437,12 @@ class BatchStore:
         # guarantees movers are full-span movers (no mid-window wake-ups
         # or completions), so time_left is binary: span or 0.
         moved_w = gf_w / 8.0 * h * (targets * float(n) - ramp_gap * series_w)
-        good_totals = [0.0] * n_sess
-        moving = np.flatnonzero(self.has_file & (time_left > 1e-12))
+        good_totals = [0.0] * len(self.sessions)
+        moving = (self.has_file & (time_left > 1e-12)).nonzero()[0]
         if moving.size:
             moved = moved_w[moving]
             self.file_done[moving] += moved
-            bounds = np.searchsorted(moving, offsets)
-            for i in np.flatnonzero(np.diff(bounds)).tolist():
-                good_totals[i] = float(moved[bounds[i] : bounds[i + 1]].sum())
+            self._slice_sums(moving, moved, good_totals)
         rates[:] = new_rates
 
-        busy = self.busy_counts()
-        counts = self.counts
-        for i, s in enumerate(sessions):
-            gf = float(goodput[i])
-            good = good_totals[i]
-            sent = good / gf if gf > 0 else good
-            s.current_loss = float(losses[i])
-            s._finish_step(good, sent, span, now, idle_workers=bool(busy[i] < counts[i]))
+        self._finish(good_totals, losses, goodput, span, now)

@@ -115,6 +115,16 @@ class FileQueue:
         """True when nothing is left to hand out."""
         return not self.repeat and self.remaining_files == 0
 
+    @property
+    def poppable(self) -> bool:
+        """True when :meth:`pop` would hand out a file right now.
+
+        Held files do not count: they are pending work, but nothing can
+        be popped until :meth:`release` and a ``push_back`` return them.
+        Lets callers skip an assignment pass that could only pop ``None``.
+        """
+        return bool(self._returned) or self.repeat or self._cursor < self.sizes.size
+
     def pop(self) -> tuple[float, float] | None:
         """Next ``(file_size, bytes_done)`` or ``None`` when exhausted.
 

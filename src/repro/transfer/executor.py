@@ -93,13 +93,17 @@ class _Topology:
     #: Batched state store: sessions hold views into it.
     batch: BatchStore
     #: Equilibrium cache: the ``(demand_epoch, link_epoch)`` pair the
-    #: ``demand_cap``/``final``/``losses`` below were computed at.  While
-    #: the executor's live pair still equals it, nothing that feeds the
-    #: allocation has changed and the step replays them as they are.
+    #: vectors below were computed at.  While the executor's live pair
+    #: still equals it, nothing that feeds the allocation has changed
+    #: and the step replays them as they are.
     key: tuple | None = None
     demand_cap: np.ndarray | None = None
     final: np.ndarray | None = None
     losses: np.ndarray | None = None
+    #: ``batch.goodput_of(losses)``: per-session and per-worker goodput
+    #: factors, derived from ``losses`` and cached with it.
+    goodput: np.ndarray | None = None
+    gf_w: np.ndarray | None = None
 
 
 class FluidTransferNetwork:
@@ -201,9 +205,12 @@ class FluidTransferNetwork:
 
         Installed as every attached session's ``on_demand_change`` hook;
         invalidates the epoch-keyed equilibrium cache without forcing a
-        topology rebuild.
+        topology rebuild, and drops the store's idle flags (a worker
+        that lost a file may sit in a session they call busy).
         """
         self._demand_epoch += 1
+        if self._topo is not None:
+            self._topo.batch.idle = None
 
     def note_link_fault(self) -> None:
         """A link's fault state (``available``/``extra_loss``) changed.
@@ -223,35 +230,34 @@ class FluidTransferNetwork:
 
     def fluid_step(self, now: float, dt: float) -> None:
         """Advance all sessions by ``dt`` (engine callback)."""
-        sessions = self.active_sessions()
-        if not sessions:
-            return
-        topo = self._topology(sessions)
-        if topo.total == 0:
+        topo = self._topology()
+        if topo is None:
             return
         self._assign_idle(topo)
         final, losses = self._equilibrium(topo)
-        self._emit_rebalance(topo, sessions)
+        self._emit_rebalance(topo)
 
         # Wall-clock reads are profiling-only: they feed the optional
         # PerfCounters report and never influence sim state.
         prof = self.engine.profile
-        t0 = perf_counter()  # repro: lint-ok[F001]
-        topo.batch.step(dt, final, losses, now)
-        self._retire(sessions)
+        t0 = perf_counter() if prof is not None else 0.0  # repro: lint-ok[F001]
+        topo.batch.step(dt, final, losses, now, topo.goodput, topo.gf_w)
+        self._retire(topo)
         if prof is not None:
             prof.add("session_step", perf_counter() - t0)  # repro: lint-ok[F001]
 
     def _assign_idle(self, topo: _Topology) -> None:
         """Start-of-step file assignment for sessions with an idle worker.
 
-        ``assign_files`` is a no-op for the rest; one global reduction
-        replaces N per-session scans.
+        Reuses the store's idle flags from the last step's end unless a
+        demand change dropped them.  A queue with nothing to pop would
+        make ``assign_files`` a no-op, so it is skipped.
         """
         batch = topo.batch
-        busy = batch.busy_counts()
-        for i in np.flatnonzero(busy < batch.counts).tolist():
-            topo.sessions[i].assign_files()
+        idle = batch.idle if batch.idle is not None else batch.scan_idle()
+        for s, has_idle in zip(topo.sessions, idle):
+            if has_idle and s.queue.poppable:
+                s.assign_files()
 
     def _equilibrium(self, topo: _Topology) -> tuple[np.ndarray, np.ndarray]:
         """The converged ``(final, losses)`` pair, from the epoch cache if fresh.
@@ -262,7 +268,7 @@ class FluidTransferNetwork:
         """
         prof = self.engine.profile
         key = (self._demand_epoch, self._link_epoch)
-        t0 = perf_counter()  # repro: lint-ok[F001]
+        t0 = perf_counter() if prof is not None else 0.0  # repro: lint-ok[F001]
         if topo.key == key:
             if prof is not None:
                 prof.add("equilibrium_cache", perf_counter() - t0)  # repro: lint-ok[F001]
@@ -275,6 +281,7 @@ class FluidTransferNetwork:
             topo.final = self._waterfill(topo.demand_cap, topo)
             t2 = perf_counter()  # repro: lint-ok[F001]
             topo.losses = self._session_losses(topo, topo.final)
+            topo.goodput, topo.gf_w = topo.batch.goodput_of(topo.losses)
             topo.key = key
             if prof is not None:
                 t3 = perf_counter()  # repro: lint-ok[F001]
@@ -284,7 +291,7 @@ class FluidTransferNetwork:
         assert topo.final is not None and topo.losses is not None
         return topo.final, topo.losses
 
-    def _emit_rebalance(self, topo: _Topology, sessions: list[TransferSession]) -> None:
+    def _emit_rebalance(self, topo: _Topology) -> None:
         """Trace the allocation a step or jump runs on (when tracing).
 
         Stamped with the step's start time (the engine sets
@@ -296,16 +303,16 @@ class FluidTransferNetwork:
         assert topo.demand_cap is not None and topo.final is not None
         tracer.emit(
             FluidRebalance,
-            sessions=len(sessions),
+            sessions=len(topo.sessions),
             workers=topo.total,
             demand_bps=float(topo.demand_cap.sum()),
             allocated_bps=float(topo.final.sum()),
         )
-        tracer.metrics.set("fluid.active_sessions", len(sessions))
+        tracer.metrics.set("fluid.active_sessions", len(topo.sessions))
 
-    def _retire(self, sessions: list[TransferSession]) -> None:
+    def _retire(self, topo: _Topology) -> None:
         """Detach the sessions that finished during the step."""
-        for s in sessions:
+        for s in topo.sessions:
             if not s.active and s in self.sessions:
                 self.remove_session(s)
 
@@ -322,11 +329,8 @@ class FluidTransferNetwork:
         this timestamp — so a pending assignment bumps the demand epoch
         *before* the freshness check and falls back to a normal step.
         """
-        sessions = self.active_sessions()
-        if not sessions:
-            return max_steps
-        topo = self._topology(sessions)
-        if topo.total == 0:
+        topo = self._topology()
+        if topo is None:
             return max_steps
         self._assign_idle(topo)
         if topo.key != (self._demand_epoch, self._link_epoch):
@@ -344,30 +348,35 @@ class FluidTransferNetwork:
         so the epoch-fresh equilibrium the planner validated is still
         current and is replayed without recomputation.
         """
-        sessions = self.active_sessions()
-        if not sessions:
-            return
-        topo = self._topology(sessions)
-        if topo.total == 0:
+        topo = self._topology()
+        if topo is None:
             return
         final = topo.final
         losses = topo.losses
         assert final is not None and losses is not None
         prof = self.engine.profile
         t0 = perf_counter()  # repro: lint-ok[F001]
-        self._emit_rebalance(topo, sessions)
-        topo.batch.jump(h, n, final, losses, now)
-        self._retire(sessions)
+        self._emit_rebalance(topo)
+        topo.batch.jump(h, n, final, losses, now, topo.goodput, topo.gf_w)
+        self._retire(topo)
         if prof is not None:
             prof.add("session_step", perf_counter() - t0)  # repro: lint-ok[F001]
 
     # -- topology cache ----------------------------------------------------------
 
-    def _topology(self, sessions: list[TransferSession]) -> _Topology:
-        """The cached topology, rebuilt only when the dirty flag is up."""
+    def _topology(self) -> _Topology | None:
+        """The topology to step on (``None``: no active session or worker).
+
+        Rebuilt only when the dirty flag is up.  A clear flag means its
+        sessions are exactly the active ones: a finished session is
+        removed, which raises the flag, before the next step.
+        """
         topo = self._topo
         if not self._dirty and topo is not None:
-            return topo
+            return topo if topo.total else None
+        sessions = self.active_sessions()
+        if not sessions:
+            return None
         topo = self._build_topology(sessions)
         self._topo = topo
         self._dirty = False
@@ -380,7 +389,7 @@ class FluidTransferNetwork:
                 resources=len(topo.resources),
             )
             tracer.metrics.inc("fluid.topology_rebuilds")
-        return topo
+        return topo if topo.total else None
 
     def _build_topology(self, sessions: list[TransferSession]) -> _Topology:
         counts = np.array([s.rates.size for s in sessions])

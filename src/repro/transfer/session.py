@@ -336,7 +336,7 @@ class TransferSession:
     def assign_files(self) -> None:
         """Hand queued files to idle workers."""
         assigned = False
-        for w in np.flatnonzero(~self.has_file):
+        for w in (~self.has_file).nonzero()[0].tolist():
             item = self.queue.pop()
             if item is None:
                 break
@@ -393,7 +393,9 @@ class TransferSession:
         ``idle_workers`` lets the batched pass skip the assignment and
         completion scan for sessions whose workers all still hold a file
         (a no-op there, but one avoided numpy round trip per session per
-        step at 256-session scale).
+        step at 256-session scale).  The assignment also waits for a
+        :attr:`FileQueue.poppable` queue: on a drained queue it could
+        only pop ``None``.
         """
         lost_total = sent_total - good_total
         self.monitor.record(good_total, sent_total, lost_total, dt)
@@ -406,7 +408,8 @@ class TransferSession:
 
         if not idle_workers:
             return
-        self.assign_files()
+        if self.queue.poppable:
+            self.assign_files()
         if self.queue.exhausted and not self.has_file.any() and self.finished_at is None:
             self.finished_at = now + dt
             tracer = current_tracer()

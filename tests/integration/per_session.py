@@ -110,8 +110,8 @@ class PerSessionNetwork(FluidTransferNetwork):
             return
         for s in sessions:
             s.assign_files()
-        topo = self._topology(sessions)
-        if topo.total == 0:
+        topo = self._topology()
+        if topo is None:
             return
         offsets = topo.offsets
         for i, s in enumerate(topo.sessions):
@@ -143,14 +143,17 @@ class CacheCheckedNetwork(FluidTransferNetwork):
 
     While the dirty flag is clear the cached topology must equal one
     rebuilt from scratch; while the epoch pair also matches the cache
-    key, the cached equilibrium must equal one recomputed from scratch.
-    Both comparisons are exact.  ``topology_checks`` and
-    ``equilibrium_checks`` count the comparisons made, so a test can
-    tell the oracle actually ran.
+    key, every cached per-equilibrium vector must equal one recomputed
+    from scratch.  Both comparisons are exact.  The store's idle flags,
+    when kept, must flag every session that has a worker without a
+    file.  ``topology_checks``, ``equilibrium_checks`` and
+    ``idle_checks`` count the checks made, so a test can tell the
+    oracle actually ran.
     """
 
     topology_checks = 0
     equilibrium_checks = 0
+    idle_checks = 0
 
     def fluid_step(self, now: float, dt: float) -> None:
         self.check_caches()
@@ -170,11 +173,16 @@ class CacheCheckedNetwork(FluidTransferNetwork):
         assert fresh.offsets.tolist() == cached.offsets.tolist(), stale
         assert fresh.caps_full.tolist() == cached.caps_full.tolist(), stale
         self.topology_checks += 1
+        idle = cached.batch.idle
+        if idle is not None:
+            for flagged, s in zip(idle, cached.sessions):
+                assert flagged or s.has_file.all(), "idle worker in a session flagged busy"
+            self.idle_checks += 1
         if cached.key != (self._demand_epoch, self._link_epoch):
             return
-        assert cached.final is not None and cached.losses is not None
-        final, losses = self._equilibrium(fresh)
+        self._equilibrium(fresh)
         stale = "stale equilibrium behind a matching epoch key"
-        assert final.tolist() == cached.final.tolist(), stale
-        assert losses.tolist() == cached.losses.tolist(), stale
+        for name in ("demand_cap", "final", "losses", "goodput", "gf_w"):
+            want, got = getattr(fresh, name), getattr(cached, name)
+            assert got is not None and got.tolist() == want.tolist(), f"{stale}: {name}"
         self.equilibrium_checks += 1

@@ -20,6 +20,7 @@ from repro.experiments import common
 from repro.experiments.open_workload import workload_run
 from repro.runner.suite import QUICK_PROFILE
 from repro.service import sharding
+from repro.transfer.executor import FluidTransferNetwork
 from repro.transfer.session import TransferSession
 
 from tests.integration.per_session import CacheCheckedNetwork
@@ -48,6 +49,7 @@ def assert_oracle_ran(built: list[CacheCheckedNetwork]) -> None:
     assert built
     assert sum(n.topology_checks for n in built) > 0
     assert sum(n.equilibrium_checks for n in built) > 0
+    assert sum(n.idle_checks for n in built) > 0
 
 
 class TestCacheFreshness:
@@ -84,3 +86,16 @@ def test_canary_missed_demand_hook_is_caught(checked, monkeypatch):
     cls, _ = checked
     with pytest.raises(AssertionError, match="stale equilibrium"):
         run_golden_scenario(cls)
+
+
+def test_canary_kept_idle_flags_are_caught(checked, monkeypatch):
+    # An executor that keeps the store's idle flags across a demand
+    # change misses the worker a crash leaves without a file: its
+    # session stays flagged busy and gets no start-of-step assignment.
+    def bump_epoch_only(self):
+        self._demand_epoch += 1
+
+    monkeypatch.setattr(FluidTransferNetwork, "note_demand_change", bump_epoch_only)
+    cls, _ = checked
+    with pytest.raises(AssertionError, match="idle worker in a session flagged busy"):
+        run_competition(cls)

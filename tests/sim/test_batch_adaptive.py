@@ -131,9 +131,9 @@ class TestJumpClosedForm:
     def test_jump_matches_iterated_steps(self):
         iterated, targets, losses = self.scenario()
         for i in range(self.N):
-            iterated.step(self.H, targets, losses, i * self.H)
+            iterated.step(self.H, targets, losses, i * self.H, *iterated.goodput_of(losses))
         jumped, targets, losses = self.scenario()
-        jumped.jump(self.H, self.N, targets, losses, 0.0)
+        jumped.jump(self.H, self.N, targets, losses, 0.0, *jumped.goodput_of(losses))
 
         want = self.snapshot(iterated)
         got = self.snapshot(jumped)
@@ -142,7 +142,7 @@ class TestJumpClosedForm:
 
     def test_snapped_down_worker_lands_exactly_on_target(self):
         store, targets, losses = self.scenario()
-        store.jump(self.H, self.N, targets, losses, 0.0)
+        store.jump(self.H, self.N, targets, losses, 0.0, *store.goodput_of(losses))
         # Instant decrease: the oracle puts rates[0] on target in the
         # first step and it never moves again, so the closed form must
         # reproduce it exactly, not approximately.
@@ -151,7 +151,7 @@ class TestJumpClosedForm:
     def test_idle_workers_move_no_bytes(self):
         store, targets, losses = self.scenario()
         done_before = store.file_done[[2, 5]].copy()
-        store.jump(self.H, self.N, targets, losses, 0.0)
+        store.jump(self.H, self.N, targets, losses, 0.0, *store.goodput_of(losses))
         assert (store.file_done[[2, 5]] == done_before).all()
         span = self.H * self.N
         assert store.stall_left[2] == pytest.approx(1.0)
@@ -163,7 +163,7 @@ class TestBlendCache:
     def test_variable_spans_get_distinct_correct_entries(self):
         store = make_store()
         for dt in (0.1, 0.25, 0.0625):
-            per_worker = store._blend_for(dt)
+            per_worker = store._blends_for(dt)[1]
             expected = np.array(
                 [1.0 - float(np.exp(-dt / tau)) for tau in store._tau]
             )[store._expand]
@@ -172,11 +172,11 @@ class TestBlendCache:
 
     def test_overflow_evicts_and_recomputes(self):
         store = make_store()
-        baseline = store._blend_for(0.1).copy()
+        baseline = store._blends_for(0.1)[1].copy()
         for i in range(store._BLEND_CACHE_MAX + 5):
-            store._blend_for(0.1 + (i + 1) * 1e-6)
+            store._blends_for(0.1 + (i + 1) * 1e-6)
         assert len(store._blend_cache) <= store._BLEND_CACHE_MAX
-        np.testing.assert_array_equal(store._blend_for(0.1), baseline)
+        np.testing.assert_array_equal(store._blends_for(0.1)[1], baseline)
 
     def test_expand_gather_matches_repeat(self):
         store = make_store(n_sessions=3, concurrency=5)

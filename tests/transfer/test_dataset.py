@@ -124,6 +124,68 @@ class TestFileQueue:
         assert q.pop() == (1.0, 0.5)
         assert q.pop() == (2.0, 0.0)
 
+    def test_poppable_until_the_cursor_runs_out(self):
+        q = Dataset(np.array([1.0, 2.0])).queue()
+        assert q.poppable
+        q.pop()
+        assert q.poppable
+        q.pop()
+        assert not q.poppable
+        assert q.pop() is None
+
+    def test_push_back_makes_a_drained_queue_poppable(self):
+        q = Dataset(np.array([10.0])).queue()
+        size, _ = q.pop()
+        assert not q.poppable
+        q.push_back(size, 4.0, attempts=1)
+        assert q.poppable
+        assert q.pop() == (10.0, 4.0)
+        assert not q.poppable
+
+    def test_held_file_is_pending_but_not_poppable(self):
+        q = Dataset(np.array([10.0])).queue()
+        size, done = q.pop()
+        q.hold()
+        assert not q.poppable
+        assert not q.exhausted
+        q.release()
+        # Releasing only ends the hold; the file is back once pushed.
+        assert not q.poppable
+        q.push_back(size, done, attempts=1)
+        assert q.poppable
+
+    def test_repeat_is_always_poppable(self):
+        q = Dataset(np.array([1.0, 2.0])).queue(repeat=True)
+        for _ in range(5):
+            assert q.poppable
+            assert q.pop() is not None
+
+    @given(
+        repeat=st.booleans(),
+        ops=st.lists(st.sampled_from(["pop", "push_back", "hold", "release"]), max_size=30),
+    )
+    @settings(max_examples=60)
+    def test_poppable_predicts_pop(self, repeat, ops):
+        """``poppable`` is True exactly when the next ``pop`` returns a file."""
+        q = Dataset(np.array([1.0, 2.0, 3.0])).queue(repeat=repeat)
+        in_hand: list[tuple[float, float]] = []
+        held: list[tuple[float, float]] = []
+        for op in ops:
+            if op == "pop":
+                expected = q.poppable
+                item = q.pop()
+                assert (item is not None) == expected
+                if item is not None:
+                    in_hand.append(item)
+            elif op == "push_back" and in_hand:
+                q.push_back(*in_hand.pop())
+            elif op == "hold" and in_hand:
+                q.hold()
+                held.append(in_hand.pop())
+            elif op == "release" and held:
+                q.release()
+                q.push_back(*held.pop())
+
     @given(
         sizes=st.lists(st.floats(min_value=1.0, max_value=1e9), min_size=1, max_size=30)
     )
