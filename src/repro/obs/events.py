@@ -133,22 +133,6 @@ class EngineStep(TraceEvent):
     dt: float = unit_field("s", "span integrated by this step", 0.0)
 
 
-@event("engine.adaptive_jump", emitted_by="repro.sim.engine.SimulationEngine._advance_fluid")
-class AdaptiveJump(TraceEvent):
-    """An adaptive multi-step: one analytic advance covering many grid steps.
-
-    Emitted (right after the covering :class:`EngineStep`) when the
-    engine's ``adaptive=True`` mode proved that no discrete transition
-    lies inside the span and replaced ``skipped + 1`` fixed-dt steps
-    with a single closed-form advance.  ``dt`` is the full span covered;
-    ``step_s`` is the underlying grid step the jump is a multiple of.
-    """
-
-    dt: float = unit_field("s", "span covered by the jump", 0.0)
-    step_s: float = unit_field("s", "grid step the jump is a multiple of", 0.0)
-    skipped: int = unit_field("-", "fixed-dt steps the jump replaced beyond the first", 0)
-
-
 @event("engine.event", emitted_by="repro.sim.engine.SimulationEngine._fire_due_events")
 class EngineEventFired(TraceEvent):
     """A scheduled discrete event fired.

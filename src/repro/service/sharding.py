@@ -146,7 +146,6 @@ def make_shards(
     max_active: int = 4,
     config: SimConfig = DEFAULT_CONFIG,
     fault_policy: RetryPolicy | None = None,
-    adaptive: bool = False,
 ) -> list[DataShard]:
     """Build ``n`` independent data-plane shards.
 
@@ -163,7 +162,7 @@ def make_shards(
     shards: list[DataShard] = []
     for i in range(n):
         engine = SimulationEngine(dt=config.dt)
-        network = FluidTransferNetwork(engine, config, adaptive=adaptive)
+        network = FluidTransferNetwork(engine, config)
         service = FalconService(
             engine=engine,
             network=network,

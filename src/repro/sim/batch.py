@@ -36,7 +36,8 @@ make that hold:
   (``v[self._expand]``, built once per topology epoch and
   value-identical to ``np.repeat(v, counts)`` — IEEE elementwise ops
   don't care whether the operand is broadcast, repeated, or gathered);
-* per-session reductions are contiguous-slice ``.sum()`` calls, which
+* per-session reductions are contiguous-slice ``np.add.reduce`` calls
+  (the reduction ``.sum()`` runs, without its Python wrapper), which
   numpy's pairwise summation resolves identically to the session's own
   standalone array of the same length (``np.add.reduceat`` does *not*
   guarantee that and is only ever used as a boolean selector here);
@@ -161,9 +162,9 @@ class BatchStore:
     # -- the batched advance --------------------------------------------------
 
     #: Distinct step lengths memoized before the blend cache resets.
-    #: Fixed-dt runs see a handful of neighbouring floats; adaptive runs
-    #: add one entry per distinct grid step (still few) — the cap only
-    #: guards pathological callers that sweep dt continuously.
+    #: Steady stepping sees a handful of neighbouring floats; each
+    #: event-clamped span adds one more key — the cap only guards
+    #: callers that sweep dt continuously.
     _BLEND_CACHE_MAX = 256
 
     def _blends_for(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -173,11 +174,14 @@ class BatchStore:
         to :meth:`TcpModel.advance_rates`) and expanded per worker;
         memoized per exact ``dt`` value — the engine's accumulated clock
         makes the step size wobble between a handful of neighbouring
-        float values, so a dict (not a last-value slot) is what keeps
-        the hit rate near 100%.  The key is the *actual* step length:
-        adaptive jumps advance on the same grid as fixed-dt stepping but
-        event clamping still produces variable spans, and a blend for
-        the wrong dt would silently skew every ramp.
+        float values, so a dict (not a last-value slot) holds them all.
+        The key is the *actual* step length: event clamping shortens
+        steps to variable spans, and a blend for the wrong dt would
+        silently skew every ramp.  The cache lives as long as the
+        store, and every topology rebuild starts a new, empty one, so
+        workloads with session churn miss often: the quick
+        ``paper-figures`` pass misses on over a quarter of its steps
+        (24,933 misses in 88,490 steps).
         """
         entry = self._blend_cache.get(dt)
         if entry is None:
@@ -193,7 +197,7 @@ class BatchStore:
         """``(per_session, per_worker)`` goodput factors ``1 - losses``.
 
         The executor computes them once per equilibrium, for every
-        :meth:`step` and :meth:`jump` that replays it.
+        :meth:`step` that replays it.
         """
         goodput = 1.0 - losses
         return goodput, goodput[self._expand]
@@ -313,7 +317,7 @@ class BatchStore:
         cuts = workers.searchsorted(self.offsets).tolist()
         for i in range(len(good_totals)):
             if cuts[i] != cuts[i + 1]:
-                good_totals[i] = float(moved[cuts[i] : cuts[i + 1]].sum())
+                good_totals[i] = float(np.add.reduce(moved[cuts[i] : cuts[i + 1]]))
 
     def _finish(
         self,
@@ -337,112 +341,4 @@ class BatchStore:
         consumed = np.add.reduceat(stall_used, offsets[:-1])
         for i in (consumed > 0.0).nonzero()[0].tolist():
             lo, hi = offsets[i], offsets[i + 1]
-            self.sessions[i].stalled_seconds += float(stall_used[lo:hi].sum())
-
-    # -- adaptive stepping -----------------------------------------------------
-
-    def next_transition(
-        self, now: float, targets: np.ndarray, losses: np.ndarray
-    ) -> float:
-        """Absolute time of the earliest future per-worker transition.
-
-        Under a frozen equilibrium (``targets`` per worker, ``losses``
-        per session) the discrete transitions the fluid state can hit
-        are (a) a moving worker finishing its file and (b) an idle
-        worker's stall/gap budget expiring, at which point it starts
-        moving.  The completion bound uses the *allocated* rate: actual
-        rates only ever ramp up toward the allocation from below
-        (decreases snap instantly), so ``need / (target * gf / 8)`` is
-        the earliest the file can possibly complete — conservative for
-        jump planning.  TCP ramp convergence is deliberately *not* a
-        transition: :meth:`jump` reproduces the oracle's discretized
-        ramp in closed form, converged or not.  Returns ``inf`` when
-        nothing bounds the span (e.g. every remaining worker is
-        fileless and demands nothing).
-        """
-        good_rate_Bps = targets * self.goodput_of(losses)[1] / 8.0
-        idle_time = self.stall_left + self.gap_left
-        bound = np.inf
-        movers = self.has_file & (idle_time <= 0.0) & (good_rate_Bps > 1e-9)
-        if movers.any():
-            need = self.file_size[movers] - self.file_done[movers]
-            bound = float((need / good_rate_Bps[movers]).min())
-        waking = self.has_file & (idle_time > 0.0)
-        if waking.any():
-            bound = min(bound, float(idle_time[waking].min()))
-        return now + bound
-
-    def jump(
-        self,
-        h: float,
-        n: int,
-        targets: np.ndarray,
-        losses: np.ndarray,
-        now: float,
-        goodput: np.ndarray,
-        gf_w: np.ndarray,
-    ) -> None:
-        """Advance every session by ``n`` grid steps of size ``h`` at once.
-
-        Closed-form equivalent of ``n`` consecutive :meth:`step` calls
-        under a frozen equilibrium — constant ``targets``/``losses`` and
-        no worker starting, finishing, or acquiring a file inside the
-        window, which is exactly what the executor's jump planner
-        proves before calling.  Per grid step the oracle ramps
-        ``r_i = T - (T - r_{i-1}) * q`` with ``q = 1 - blend(h)`` and
-        then moves ``r_i * gf / 8 * h`` bytes, so after ``n`` steps::
-
-            r_n   = T - (T - r_0) * q^n
-            bytes = gf/8 * h * (T*n - (T - r_0) * q * (1 - q^n) / (1 - q))
-
-        evaluated here directly.  The only divergence from the iterated
-        oracle is float round-off: the geometric series is summed in
-        closed form instead of accumulated step by step.  Throughput
-        monitors receive one record covering the whole span (totals are
-        preserved; tail-windowed samples see coarser granularity, but
-        agent sample boundaries are engine events, which bound jumps).
-        """
-        span = h * n
-
-        blend_s, _ = self._blends_for(h)
-        q_s = 1.0 - blend_s
-        qn_s = q_s**n
-        # sum_{i=1..n} q^i with the q == 1 limit (tau >> h) -> n.
-        safe_blend = np.where(blend_s > 0.0, blend_s, 1.0)
-        series_s = np.where(blend_s > 0.0, (q_s - q_s * qn_s) / safe_blend, float(n))
-        qn_w = qn_s[self._expand]
-        series_w = series_s[self._expand]
-
-        rates = self.rates
-        # Ramp gap toward the allocation; zero for workers snapping down
-        # (the oracle's instant decrease lands them on target in step 1).
-        ramp_gap = np.maximum(targets - rates, 0.0)
-        new_rates = targets - ramp_gap * qn_w
-
-        # Stall/gap budgets drain linearly and sequentially, so the
-        # n-step drain equals one span-sized drain (same expressions as
-        # :meth:`step` with dt = span).
-        if np.count_nonzero(self.stall_left):
-            stall_used = np.minimum(self.stall_left, span)
-            self.stall_left -= stall_used
-            self._note_stalls(stall_used)
-            budget = span - stall_used
-            time_left = np.maximum(0.0, budget - self.gap_left)
-            self.gap_left[:] = np.maximum(0.0, self.gap_left - budget)
-        else:
-            time_left = np.maximum(0.0, span - self.gap_left)
-            self.gap_left[:] = np.maximum(0.0, self.gap_left - span)
-
-        # Bytes over the window from the ramp series above.  The planner
-        # guarantees movers are full-span movers (no mid-window wake-ups
-        # or completions), so time_left is binary: span or 0.
-        moved_w = gf_w / 8.0 * h * (targets * float(n) - ramp_gap * series_w)
-        good_totals = [0.0] * len(self.sessions)
-        moving = (self.has_file & (time_left > 1e-12)).nonzero()[0]
-        if moving.size:
-            moved = moved_w[moving]
-            self.file_done[moving] += moved
-            self._slice_sums(moving, moved, good_totals)
-        rates[:] = new_rates
-
-        self._finish(good_totals, losses, goodput, span, now)
+            self.sessions[i].stalled_seconds += float(np.add.reduce(stall_used[lo:hi]))

@@ -22,19 +22,13 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
-from repro.obs.events import AdaptiveJump, EngineEventFired, EngineStep
+from repro.obs.events import EngineEventFired, EngineStep
 from repro.obs.tracer import current_tracer
 
 if TYPE_CHECKING:
     from repro.sim.profile import PerfCounters
 
 FluidStepFn = Callable[[float, float], None]
-#: ``(now, step, max_steps) -> n``: how many grid steps of size ``step``
-#: can be covered by one analytic jump without crossing a transition.
-JumpPlanFn = Callable[[float, float, int], int]
-#: ``(now, step, n) -> None``: advance continuous state by ``n`` grid
-#: steps of size ``step`` in one closed-form pass.
-FluidJumpFn = Callable[[float, float, int], None]
 EventFn = Callable[[], None]
 
 
@@ -67,41 +61,23 @@ class SimulationEngine:
     fluid_step:
         Callback ``(now, dt) -> None`` advancing continuous state.  May
         be set later via :attr:`fluid_step`.
-    adaptive:
-        Opt-in event-driven stepping.  When True *and* a fluid callback
-        has registered :attr:`jump_planner` / :attr:`fluid_jump`, the
-        engine asks the planner how many grid steps it can prove free of
-        discrete transitions (file completions, gap/stall expiries,
-        equilibrium changes) and covers them with one analytic jump.
-        Fixed-dt remains the default oracle; the adaptive trajectory
-        matches it to float round-off because jumps land exactly on the
-        fixed grid and reproduce its discretized TCP ramp in closed
-        form.  Without a planner the flag is inert (plain fixed-dt).
 
     Notes
     -----
     The engine never advances the fluid state past the next pending
     event: if an event lies mid-step, the step is shortened so state at
-    the event timestamp is exact.  Adaptive jumps obey the same bound:
-    the span is clamped against the event queue *before* the planner
-    runs, and the planner may only shorten it further.
+    the event timestamp is exact.
     """
 
     def __init__(
         self,
         dt: float = 0.1,
         fluid_step: Optional[FluidStepFn] = None,
-        adaptive: bool = False,
     ) -> None:
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.dt = float(dt)
         self.fluid_step = fluid_step
-        self.adaptive = bool(adaptive)
-        #: Set by the fluid callback's owner (e.g. FluidTransferNetwork)
-        #: when it supports adaptive jumps; both must be set together.
-        self.jump_planner: Optional[JumpPlanFn] = None
-        self.fluid_jump: Optional[FluidJumpFn] = None
         #: Optional :class:`~repro.sim.profile.PerfCounters` collecting
         #: per-subsystem wall time and steps/sec.  ``None`` = no profiling.
         self.profile: Optional[PerfCounters] = None
@@ -248,40 +224,20 @@ class SimulationEngine:
                 continue
             steps = max(1, math.ceil(span / self.dt - 1e-9))
             step = span / steps
-            jump = 1
-            if (
-                self.adaptive
-                and steps > 1
-                and self.jump_planner is not None
-                and self.fluid_jump is not None
-            ):
-                # The planner may only shorten the (already event-clamped)
-                # span; a jump of n covers exactly n grid steps so the
-                # remaining span still divides evenly on the same grid.
-                jump = max(1, min(int(self.jump_planner(self._now, step, steps)), steps))
             tracer = current_tracer()
             if tracer is not None:
                 # Events emitted *inside* the fluid callback (rebalance
                 # summaries) carry the step's start time.
                 tracer.now = self._now
-            if jump > 1:
-                assert self.fluid_jump is not None
-                self.fluid_jump(self._now, step, jump)
-                advanced = step * jump
-            else:
-                if self.fluid_step is not None:
-                    self.fluid_step(self._now, step)
-                advanced = step
-            self._now += advanced
+            if self.fluid_step is not None:
+                self.fluid_step(self._now, step)
+            self._now += step
             if tracer is not None:
                 tracer.now = self._now
-                tracer.emit(EngineStep, dt=advanced)
+                tracer.emit(EngineStep, dt=step)
                 tracer.metrics.inc("engine.steps")
-                if jump > 1:
-                    tracer.emit(AdaptiveJump, dt=advanced, step_s=step, skipped=jump - 1)
-                    tracer.metrics.inc("engine.adaptive_jumps")
             if self.profile is not None:
-                self.profile.note_step(advanced)
+                self.profile.note_step(step)
             nxt = self._peek_time()
             if nxt is not None and nxt <= self._now + 1e-12:
                 self._fire_due_events()

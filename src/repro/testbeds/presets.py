@@ -246,9 +246,10 @@ def stampede2_comet() -> Testbed:
 def metro(n_sites: int = 16, sessions_per_site: int = 16) -> list[Testbed]:
     """Metro ring: 256 session pairs over 16 shared sites (scale scenario).
 
-    The scale stress shape behind ``benchmarks/bench_scale.py``: a ring
-    of ``n_sites`` metro sites, each with one shared storage array and
-    one shared 100 Gbps NIC, joined by 100 Gbps ring links.  Session
+    The scale stress shape behind the ``metro-window`` workload of
+    ``perfbench/``: a ring of ``n_sites`` metro sites, each with one
+    shared storage array and one shared 100 Gbps NIC, joined by
+    100 Gbps ring links.  Session
     ``k`` sources at site ``k % n_sites`` and travels *clockwise* for
     ``1 + (k // n_sites) % (n_sites - 1)`` hops, so the default
     16 x 16 = 256 sessions have heterogeneous path lengths (RTTs from

@@ -30,7 +30,6 @@ DESIGN.md "Performance".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
@@ -114,15 +113,6 @@ class FluidTransferNetwork:
     per-session advance it replaces lives on only as the parity
     reference under ``tests/``.
 
-    ``adaptive=True`` additionally flips the engine into event-driven
-    stepping: between discrete transitions the allocation is provably
-    constant, so the executor's jump planner (:meth:`_plan_jump`)
-    bounds how many grid steps are transition-free and
-    :meth:`_fluid_jump` covers them with one closed-form
-    :meth:`BatchStore.jump`.  Fixed-dt remains the oracle; adaptive
-    runs match it to float round-off (rtol-pinned by the adaptive
-    parity tests).
-
     Incremental equilibrium: the converged (allocation, losses) pair is
     a pure function of the demand-cap vector, the topology, and the
     links' fault state.  Two counters — a *demand epoch* bumped by the
@@ -139,11 +129,9 @@ class FluidTransferNetwork:
         self,
         engine: SimulationEngine,
         config: SimConfig = DEFAULT_CONFIG,
-        adaptive: bool = False,
     ):
         self.engine = engine
         self.config = config
-        self.adaptive = adaptive
         self.sessions: list[TransferSession] = []
         self._topo: _Topology | None = None
         self._dirty = True
@@ -152,10 +140,6 @@ class FluidTransferNetwork:
         self._demand_epoch = 0
         self._link_epoch = 0
         engine.fluid_step = self.fluid_step
-        engine.jump_planner = self._plan_jump
-        engine.fluid_jump = self._fluid_jump
-        if adaptive:
-            engine.adaptive = True
 
     # -- session management ----------------------------------------------------
 
@@ -292,7 +276,7 @@ class FluidTransferNetwork:
         return topo.final, topo.losses
 
     def _emit_rebalance(self, topo: _Topology) -> None:
-        """Trace the allocation a step or jump runs on (when tracing).
+        """Trace the allocation a step runs on (when tracing).
 
         Stamped with the step's start time (the engine sets
         ``tracer.now`` before invoking the fluid callback).
@@ -315,52 +299,6 @@ class FluidTransferNetwork:
         for s in topo.sessions:
             if not s.active and s in self.sessions:
                 self.remove_session(s)
-
-    # -- adaptive jumps ----------------------------------------------------------
-
-    def _plan_jump(self, now: float, h: float, max_steps: int) -> int:
-        """How many grid steps of size ``h`` one jump may cover (engine hook).
-
-        Returns 1 (take a normal step) unless the epoch-keyed
-        equilibrium is provably current, in which case the bound is the
-        earliest per-worker transition from
-        :meth:`BatchStore.next_transition`.  Runs the start-of-step file
-        assignment first — the same scan :meth:`fluid_step` would do at
-        this timestamp — so a pending assignment bumps the demand epoch
-        *before* the freshness check and falls back to a normal step.
-        """
-        topo = self._topology()
-        if topo is None:
-            return max_steps
-        self._assign_idle(topo)
-        if topo.key != (self._demand_epoch, self._link_epoch):
-            return 1
-        t_next = topo.batch.next_transition(now, topo.final, topo.losses)
-        if not math.isfinite(t_next):
-            return max_steps
-        return max(1, min(max_steps, int((t_next - now) / h)))
-
-    def _fluid_jump(self, now: float, h: float, n: int) -> None:
-        """Advance the batched store by ``n`` grid steps (engine hook).
-
-        Only ever invoked immediately after :meth:`_plan_jump` returned
-        ``n`` in the same engine iteration — no events fire in between —
-        so the epoch-fresh equilibrium the planner validated is still
-        current and is replayed without recomputation.
-        """
-        topo = self._topology()
-        if topo is None:
-            return
-        final = topo.final
-        losses = topo.losses
-        assert final is not None and losses is not None
-        prof = self.engine.profile
-        t0 = perf_counter()  # repro: lint-ok[F001]
-        self._emit_rebalance(topo)
-        topo.batch.jump(h, n, final, losses, now, topo.goodput, topo.gf_w)
-        self._retire(topo)
-        if prof is not None:
-            prof.add("session_step", perf_counter() - t0)  # repro: lint-ok[F001]
 
     # -- topology cache ----------------------------------------------------------
 

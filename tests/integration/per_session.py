@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sim.batch import BatchStore
-from repro.sim.engine import SimulationEngine
 from repro.transfer.executor import FluidTransferNetwork, _Topology
 from repro.transfer.session import TransferSession
 
@@ -87,16 +86,8 @@ class PerSessionNetwork(FluidTransferNetwork):
     Every topology build detaches each session from the new store, so
     sessions keep standalone arrays and :func:`session_step` advances
     them one at a time.  The store's ``has_file`` mask is the gather
-    scratch the shared equilibrium code reads its demand from.  Always
-    fixed-dt: a jump would advance a store the sessions no longer
-    alias, so the engine's jump hooks are cleared and an adaptive
-    engine takes every grid step through :meth:`fluid_step`.
+    scratch the shared equilibrium code reads its demand from.
     """
-
-    def __init__(self, engine: SimulationEngine, *args, **kwargs) -> None:
-        super().__init__(engine, *args, **kwargs)
-        engine.jump_planner = None
-        engine.fluid_jump = None
 
     def _build_topology(self, sessions: list[TransferSession]) -> _Topology:
         topo = super()._build_topology(sessions)

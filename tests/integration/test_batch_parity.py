@@ -151,13 +151,6 @@ class TestBatchParity:
         # every float bit, not approx.
         assert run_golden_scenario() == run_golden_scenario(PerSessionNetwork)
 
-    def test_reference_stays_fixed_dt_on_adaptive_engine(self):
-        # The reference detaches its sessions from the store, so it must
-        # never take the engine's store jumps: on an adaptive engine it
-        # has to step the same fixed-dt grid, bit for bit.
-        fixed = run_golden_scenario(PerSessionNetwork)
-        assert run_golden_scenario(PerSessionNetwork, adaptive=True) == fixed
-
     def test_competition_with_faults_bit_identical(self):
         batched = run_competition()
         reference = run_competition(PerSessionNetwork)

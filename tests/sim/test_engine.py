@@ -149,59 +149,8 @@ class TestFluidIntegration:
             SimulationEngine(dt=0.0)
 
 
-class TestAdaptiveStepping:
-    """Opt-in event-driven jumps: planner clamping and fallbacks."""
-
-    @staticmethod
-    def instrumented(adaptive: bool, plan) -> tuple[SimulationEngine, list]:
-        eng = SimulationEngine(dt=0.1, adaptive=adaptive)
-        calls: list[tuple] = []
-        eng.fluid_step = lambda now, dt: calls.append(("step", now, dt))
-        eng.fluid_jump = lambda now, h, n: calls.append(("jump", now, h, n))
-        eng.jump_planner = plan
-        return eng, calls
-
-    def test_planner_span_taken_as_one_jump(self):
-        eng, calls = self.instrumented(True, lambda now, h, n: n)
-        eng.run_until(1.0)
-        assert calls == [("jump", 0.0, pytest.approx(0.1), 10)]
-        assert eng.now == pytest.approx(1.0)
-
-    def test_jump_never_crosses_scheduled_event(self):
-        eng, calls = self.instrumented(True, lambda now, h, n: 1000)
-        fired = []
-        eng.schedule_at(0.35, lambda: fired.append(eng.now))
-        eng.run_until(1.0)
-        assert fired == [pytest.approx(0.35)]
-        for kind, now, h, *rest in calls:
-            span = h * rest[0] if kind == "jump" else h
-            assert now + span <= 0.35 + 1e-9 or now >= 0.35 - 1e-9
-        assert sum((h * rest[0] if k == "jump" else h) for k, _, h, *rest in calls) == (
-            pytest.approx(1.0)
-        )
-
-    def test_planner_result_clamped_to_at_least_one_step(self):
-        eng, calls = self.instrumented(True, lambda now, h, n: -3)
-        eng.run_until(0.3)
-        assert [c[0] for c in calls] == ["step"] * 3
-
-    def test_single_step_spans_use_fluid_step(self):
-        # A planner answer of 1 is a normal step, not a one-step jump.
-        eng, calls = self.instrumented(True, lambda now, h, n: 1)
-        eng.run_until(0.5)
-        assert [c[0] for c in calls] == ["step"] * 5
-
-    def test_without_planner_falls_back_to_fixed_grid(self):
-        eng = SimulationEngine(dt=0.1, adaptive=True)
-        calls = []
-        eng.fluid_step = lambda now, dt: calls.append(dt)
-        eng.run_until(1.0)
-        assert len(calls) == 10
-
-    def test_adaptive_false_ignores_registered_planner(self):
-        eng, calls = self.instrumented(False, lambda now, h, n: n)
-        eng.run_until(1.0)
-        assert [c[0] for c in calls] == ["step"] * 10
+class TestStop:
+    """``stop()`` ends a run early, and a pending stop is consumed once."""
 
     def test_stop_interrupts_run(self):
         eng = SimulationEngine(dt=0.1)

@@ -220,17 +220,16 @@ class TestCpuOverhead:
 
 
 class TestEquilibriumEpochCache:
-    """ISSUE 9: epoch-keyed reuse of the converged waterfill allocation.
+    """Epoch-keyed reuse of the converged waterfill allocation.
 
     Steady-state steps must skip the demand-cap/waterfill/loss pipeline
     entirely, and every input change must bump an epoch so the cache
-    can never serve a stale equilibrium — especially to adaptive jumps,
-    which replay the memoized pair without recomputation.
+    can never serve a stale equilibrium.
     """
 
-    def steady_setup(self, adaptive: bool = False):
+    def steady_setup(self):
         engine = SimulationEngine(dt=0.1)
-        net = FluidTransferNetwork(engine, adaptive=adaptive)
+        net = FluidTransferNetwork(engine)
         # 1 GB files at a 100 Mbps bottleneck: nothing completes inside
         # these short runs, so demand stays frozen after the initial
         # assignment scan.
@@ -277,22 +276,23 @@ class TestEquilibriumEpochCache:
         # One bump at burst start, one at recovery.
         assert net._link_epoch == before + 2
 
-    def test_burst_losses_reach_adaptive_jumps(self):
+    def test_loss_burst_reaches_session_and_clears(self):
         from repro.faults import FaultInjector
         from repro.faults.plan import FaultPlan, LossBurst
         from repro.sim.rng import RngStreams
 
-        # Under adaptive stepping the equilibrium is replayed from the
-        # cache across whole jumps; a missed link-epoch bump would keep
-        # serving pre-burst losses.  Sample the session's loss inside
-        # the burst window and after recovery.
-        engine, net, session = self.steady_setup(adaptive=True)
+        # Steady steps replay the equilibrium from the epoch cache; a
+        # missed link-epoch bump would keep serving pre-burst losses
+        # inside the burst, or burst losses after recovery.  Sample the
+        # session's loss before, inside and after the burst window.
+        engine, net, session = self.steady_setup()
         plan = FaultPlan((LossBurst(at=2.0, duration=2.0, loss=0.05),))
         FaultInjector(engine, net, plan, streams=RngStreams(3)).arm()
         seen = []
-        engine.schedule_at(3.0, lambda: seen.append(session.current_loss))
-        engine.schedule_at(7.0, lambda: seen.append(session.current_loss))
+        for t in (1.5, 3.0, 7.0):
+            engine.schedule_at(t, lambda: seen.append(session.current_loss))
         engine.run_for(8.0)
-        inside, after = seen
+        before, inside, after = seen
         assert inside >= 0.05
         assert after < inside - 0.04
+        assert after == pytest.approx(before)
