@@ -33,7 +33,7 @@ make that hold:
 * every elementwise update uses the same expression as the per-session
   code, with per-session scalars (loss goodput factor, TCP ramp blend)
   expanded per worker through the precomputed session-index gather
-  (``v[self._expand]``, built once per topology epoch and
+  (``v[self.expand]``, built once per topology epoch and
   value-identical to ``np.repeat(v, counts)`` — IEEE elementwise ops
   don't care whether the operand is broadcast, repeated, or gathered);
 * per-session reductions are contiguous-slice ``np.add.reduce`` calls
@@ -83,30 +83,22 @@ class BatchStore:
     def __init__(self, sessions: Sequence["TransferSession"], offsets: np.ndarray) -> None:
         self.sessions = list(sessions)
         self.offsets = np.asarray(offsets, dtype=np.intp)
-        self.counts = np.diff(self.offsets)
+        self.counts = self.offsets[1:] - self.offsets[:-1]
         self.total = int(self.offsets[-1]) if self.offsets.size else 0
         #: Per session: does some worker hold no file?  From
         #: :meth:`scan_idle`; ``None`` until the first scan.
         self.idle: list[bool] | None = None
 
-        n = self.total
-        self.rates = np.empty(n)
-        self.file_size = np.empty(n)
-        self.file_done = np.empty(n)
-        self.gap_left = np.empty(n)
-        self.stall_left = np.empty(n)
-        self.attempts = np.empty(n, dtype=np.intp)
-        self.has_file = np.empty(n, dtype=bool)
-
-        for i, s in enumerate(self.sessions):
-            lo, hi = self.offsets[i], self.offsets[i + 1]
-            self.rates[lo:hi] = s.rates
-            self.file_size[lo:hi] = s.file_size
-            self.file_done[lo:hi] = s.file_done
-            self.gap_left[lo:hi] = s.gap_left
-            self.stall_left[lo:hi] = s.stall_left
-            self.attempts[lo:hi] = s.attempts
-            self.has_file[lo:hi] = s.has_file
+        ss = self.sessions
+        self.rates = np.concatenate([s.rates for s in ss])
+        self.file_size = np.concatenate([s.file_size for s in ss])
+        self.file_done = np.concatenate([s.file_done for s in ss])
+        self.gap_left = np.concatenate([s.gap_left for s in ss])
+        self.stall_left = np.concatenate([s.stall_left for s in ss])
+        self.attempts = np.concatenate([s.attempts for s in ss])
+        self.has_file = np.concatenate([s.has_file for s in ss])
+        bounds = self.offsets.tolist()
+        for s, lo, hi in zip(ss, bounds, bounds[1:]):
             s.adopt_state(
                 self.rates[lo:hi],
                 self.file_size[lo:hi],
@@ -119,13 +111,15 @@ class BatchStore:
 
         #: Per-session TCP ramp time constants (fixed for a session's
         #: lifetime: path RTT and transport are frozen at construction).
-        self._tau = [float(s.tcp.ramp_tau(s.path_rtt)) for s in self.sessions]
+        self._tau = np.array([s.tcp.ramp_tau(s.path_rtt) for s in ss])
         #: Session index of each worker row: the expansion gather that
         #: turns a per-session vector into a per-worker one.  Fixed for
         #: the store's lifetime (one topology epoch), so per-step
         #: ``np.repeat(per_session, counts)`` calls become plain fancy
-        #: indexing — value-identical, repeat(v, c) == v[expand].
-        self._expand = np.repeat(np.arange(len(self.sessions), dtype=np.intp), self.counts)
+        #: indexing — value-identical, repeat(v, c) == v[expand].  The
+        #: executor's topology build expands its per-session tables
+        #: with it too.
+        self.expand = np.arange(len(ss)).repeat(self.counts)
         self._blend_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- view management -----------------------------------------------------
@@ -170,27 +164,25 @@ class BatchStore:
     def _blends_for(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """``(per_session, per_worker)`` TCP ramp blends ``1 - exp(-dt / tau)``.
 
-        Computed from per-session *scalar* exponentials (bit-identical
-        to :meth:`TcpModel.advance_rates`) and expanded per worker;
-        memoized per exact ``dt`` value — the engine's accumulated clock
-        makes the step size wobble between a handful of neighbouring
-        float values, so a dict (not a last-value slot) holds them all.
-        The key is the *actual* step length: event clamping shortens
-        steps to variable spans, and a blend for the wrong dt would
-        silently skew every ramp.  The cache lives as long as the
-        store, and every topology rebuild starts a new, empty one, so
-        workloads with session churn miss often: the quick
-        ``paper-figures`` pass misses on over a quarter of its steps
-        (24,933 misses in 88,490 steps).
+        One array expression over the per-session ``tau`` vector,
+        elementwise bit-identical to :meth:`TcpModel.advance_rates`'s
+        scalar ``exp``, expanded per worker; memoized per exact ``dt``
+        value — the engine's accumulated clock makes the step size
+        wobble between a handful of neighbouring float values, so a
+        dict (not a last-value slot) holds them all.  The key is the
+        *actual* step length: event clamping shortens steps to variable
+        spans, and a blend for the wrong dt would silently skew every
+        ramp.  The cache lives as long as the store, and every topology
+        rebuild starts a new, empty one, so workloads with session churn
+        miss often (``open-workload`` on most steps); a miss costs a
+        fixed handful of array calls, not one ``exp`` per session.
         """
         entry = self._blend_cache.get(dt)
         if entry is None:
             if len(self._blend_cache) >= self._BLEND_CACHE_MAX:
                 self._blend_cache.clear()
-            per_session = np.array(
-                [1.0 - float(np.exp(-dt / tau)) for tau in self._tau]
-            )
-            entry = self._blend_cache[dt] = (per_session, per_session[self._expand])
+            per_session = 1.0 - np.exp(-dt / self._tau)
+            entry = self._blend_cache[dt] = (per_session, per_session[self.expand])
         return entry
 
     def goodput_of(self, losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +192,7 @@ class BatchStore:
         :meth:`step` that replays it.
         """
         goodput = 1.0 - losses
-        return goodput, goodput[self._expand]
+        return goodput, goodput[self.expand]
 
     def step(
         self,

@@ -23,14 +23,19 @@ stream/weight vectors, waterfill scratch) depends only on *which*
 sessions are attached and their worker counts / parallelism — not on
 per-step state — so it is built once and cached in a :class:`_Topology`.
 The dirty flag, raised by session add/remove and by ``set_params`` /
-worker resizes, is its only invalidation.  The converged equilibrium is
-cached next to it under one ``(demand_epoch, link_epoch)`` key.  See
-DESIGN.md "Performance".
+worker resizes, is its only invalidation.  Under session churn it is
+rebuilt thousands of times per run on a few sessions each, so the build
+costs a fixed number of numpy calls: one stable argsort lays every
+(resource, worker) membership out as one CSR array that each resource
+slices.  The converged equilibrium is cached next to it under one
+``(demand_epoch, link_epoch)`` key.  See DESIGN.md "Performance".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 from time import perf_counter
 from typing import Callable
 
@@ -55,20 +60,50 @@ class _Resource:
     """One shared resource and the workers it serves."""
 
     name: str
-    members: np.ndarray  # global worker indices
-    allocate: Callable[[np.ndarray], np.ndarray]
-    # For links only: per-member stream counts (parallelism), else None.
-    streams: np.ndarray | None = None
-    link: Link | None = None
-    # -- cached arbitration scaffolding (filled by _build_topology) --------
-    #: ``members`` as a column vector, for 2-D fancy indexing.
-    members_col: np.ndarray | None = None
+    #: Global worker indices, ascending; and the same as a column
+    #: vector, for 2-D fancy indexing.
+    members: np.ndarray
+    members_col: np.ndarray
     #: (m, k) indices of the *other* resources serving each member,
     #: padded with the always-inf sentinel column of the grants matrix.
-    other_rows: np.ndarray | None = None
-    #: Links only: total stream count and the worst member-path RTT.
+    other_rows: np.ndarray
+    #: This resource's grants for the members' demands: the storage or
+    #: NIC's max-min allocator, or :func:`_allocate_flows` bound to a link.
+    allocate: Callable[[np.ndarray], np.ndarray]
+    #: Links only: the loss model's inputs (total stream count and the
+    #: worst member-path RTT).
+    link: Link | None = None
     n_flows: int = 0
     link_rtt: float = 0.0
+
+
+def _allocate_flows(
+    link: Link,
+    streams: np.ndarray,
+    boundaries: np.ndarray,
+    flow_weights: np.ndarray | None,
+    demands: np.ndarray,
+) -> np.ndarray:
+    """A link's grants for its members' ``demands``.
+
+    A link arbitrates at *flow* granularity: a worker with parallelism
+    ``p`` (its entry of ``streams``) presents ``p`` equal flows, so at a
+    saturated link a session's share is proportional to its total
+    stream count — the mechanism behind both the benefit and the
+    aggression of high concurrency/parallelism.  Per-flow weights carry
+    transport aggressiveness: loss-based TCP flows weigh 1.0; a
+    BBR-flavoured transport (the paper's future work, modelled as less
+    loss-deferential) claims proportionally more of a saturated link;
+    ``None`` means all flows weigh the same.  ``boundaries`` holds each
+    member's first flow in the expansion.
+    """
+    flow_demands = np.repeat(demands / streams, streams)
+    if flow_weights is None:
+        flow_alloc = link.allocate(flow_demands)
+    else:
+        flow_alloc = weighted_max_min_fair_share(flow_demands, flow_weights, link.effective_capacity)
+    # Sum each worker's flows back together.
+    return np.add.reduceat(flow_alloc, boundaries)
 
 
 @dataclass
@@ -315,7 +350,11 @@ class FluidTransferNetwork:
         sessions = self.active_sessions()
         if not sessions:
             return None
+        prof = self.engine.profile
+        t0 = perf_counter() if prof is not None else 0.0  # repro: lint-ok[F001]
         topo = self._build_topology(sessions)
+        if prof is not None:
+            prof.add("topology", perf_counter() - t0)  # repro: lint-ok[F001]
         self._topo = topo
         self._dirty = False
         tracer = current_tracer()
@@ -330,172 +369,100 @@ class FluidTransferNetwork:
         return topo if topo.total else None
 
     def _build_topology(self, sessions: list[TransferSession]) -> _Topology:
-        counts = np.array([s.rates.size for s in sessions])
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        total = int(offsets[-1])
+        """Build the topology in a fixed number of numpy calls.
 
-        resources = self._build_resources(sessions, offsets)
-        n_res = len(resources)
+        Nothing loops per worker, and the Python loops that run per
+        session or per resource only read attributes and slice arrays.
+        :func:`_number_resources` numbers the resources and
+        :func:`_memberships` lays every (resource, worker) membership
+        out as one CSR array, whose per-resource slices are each
+        resource's ``members`` and ``other_rows``.  Links come last in
+        the numbering, so the CSR tail holds every link's memberships
+        and one ``reduceat`` per quantity covers all links.
+        """
+        counts = [s.rates.size for s in sessions]
+        batch = BatchStore(sessions, np.array([0, *accumulate(counts)]))
+        host, links, rows, paths = _number_resources(sessions)
+        n_host = len(host)
+        n_res = n_host + len(links)
+        bounds, workers, other = _memberships(rows, batch.expand, n_res)
+        workers_col = workers[:, None]
+        resources = [
+            _Resource(name, workers[a:b], workers_col[a:b], other[a:b], allocate)
+            for (name, allocate), a, b in zip(host, bounds, bounds[1:])
+        ]
 
-        # Which resources serve each worker (for the other-rows tables).
-        # Built as one padded (total, k_max) matrix — per-worker Python
-        # loops here cost more than the whole steady-state step at
-        # 16k-worker scale, so everything below the count pass is
-        # vectorized fancy indexing.
-        res_count = np.zeros(total, dtype=np.intp)
-        for res in resources:
-            res_count[res.members] += 1
-        k_max = int(res_count.max()) if total else 0
-        worker_res = np.full((total, max(k_max, 1)), n_res, dtype=np.intp)
-        fill = np.zeros(total, dtype=np.intp)
-        for r, res in enumerate(resources):
-            worker_res[res.members, fill[res.members]] = r
-            fill[res.members] += 1
-
-        # The worst path RTT through each link (for its loss model).
-        link_rtt: dict[int, float] = {}
-        for s in sessions:
-            for link in s.path:
-                key = id(link)
-                link_rtt[key] = max(link_rtt.get(key, 0.0), s.path.rtt)
-
-        for r, res in enumerate(resources):
-            rows = worker_res[res.members]
-            # Mask out this resource's own column; the sentinel column
-            # of the grants matrix stays +inf, so padding is harmless
-            # (every row keeps at least one sentinel entry).
-            res.members_col = res.members[:, None]
-            res.other_rows = np.where(rows == r, n_res, rows)
-            if res.link is not None:
-                res.n_flows = (
-                    int(res.streams.sum()) if res.streams is not None else res.members.size
+        # Per link membership: its session's streams, transport weight
+        # and path RTT; ``link_cuts`` starts each link's run of them.
+        tail = bounds[n_host]
+        link_sessions = batch.expand[workers[tail:]]
+        streams = np.array([s.params.parallelism for s in sessions])[link_sessions]
+        weights = np.array([s.tcp.aggressiveness for s in sessions])[link_sessions]
+        rtts = np.array([s.path_rtt for s in sessions])[link_sessions]
+        link_cuts = np.array(bounds[n_host:n_res]) - tail
+        n_flows = np.add.reduceat(streams, link_cuts).tolist()
+        link_rtt = np.maximum.reduceat(rtts, link_cuts).tolist()
+        uniform = (
+            np.minimum.reduceat(weights, link_cuts) == np.maximum.reduceat(weights, link_cuts)
+        ).tolist()
+        # Each link member's first flow in one flow expansion of them all.
+        flow_start = streams.cumsum() - streams
+        flow_weights = weights.repeat(streams) if not all(uniform) else None
+        for j, link in enumerate(links):
+            a, b = bounds[n_host + j], bounds[n_host + j + 1]
+            la, lb = a - tail, b - tail
+            first = int(flow_start[la])
+            link_weights = None if uniform[j] else flow_weights[first : first + n_flows[j]]
+            resources.append(
+                _Resource(
+                    f"link:{link.name}",
+                    workers[a:b],
+                    workers_col[a:b],
+                    other[a:b],
+                    partial(_allocate_flows, link, streams[la:lb], flow_start[la:lb] - first, link_weights),
+                    link=link,
+                    n_flows=n_flows[j],
+                    link_rtt=link_rtt[j],
                 )
-                res.link_rtt = link_rtt.get(id(res.link), 0.0)
-
-        # Loss scaffolding: which resource-list entries are links, and
-        # each session's path as rows into the per-step loss vector
-        # (padded with the sentinel slot that always holds zero loss).
-        link_resources = [res for res in resources if res.link is not None]
-        link_slot = {id(res.link): j for j, res in enumerate(link_resources)}
-        width = max((len(s.path) for s in sessions), default=0)
-        session_link_rows = np.full(
-            (len(sessions), max(width, 1)), len(link_resources), dtype=np.intp
-        )
-        for i, s in enumerate(sessions):
-            session_link_rows[i, : len(s.path)] = [link_slot[id(link)] for link in s.path]
+            )
 
         return _Topology(
             sessions=list(sessions),
-            offsets=offsets,
-            total=total,
+            offsets=batch.offsets,
+            total=batch.total,
             resources=resources,
-            caps_full=self._caps_full(sessions, offsets, total),
-            grants=np.full((total, n_res + 1), np.inf),
-            link_resources=link_resources,
-            session_link_rows=session_link_rows,
-            batch=BatchStore(sessions, offsets),
+            caps_full=self._caps_full(sessions, counts)[batch.expand],
+            grants=np.full((batch.total, n_res + 1), np.inf),
+            link_resources=resources[n_host:],
+            session_link_rows=np.array(paths),
+            batch=batch,
         )
 
     # -- demand caps -----------------------------------------------------------
 
-    def _caps_full(
-        self, sessions: list[TransferSession], offsets: np.ndarray, total: int
-    ) -> np.ndarray:
-        """Per-worker unconstrained rate caps assuming a file in hand (bps)."""
+    def _caps_full(self, sessions: list[TransferSession], counts: list[int]) -> np.ndarray:
+        """Per-session unconstrained worker rate caps assuming a file in hand (bps)."""
         # Process counts per host: each worker is one process on the
         # source and one on the destination.
         procs: dict[int, int] = {}
-        for s in sessions:
+        for s, n in zip(sessions, counts):
             for host in (s.source, s.destination):
-                procs[id(host)] = procs.get(id(host), 0) + s.rates.size
+                procs[id(host)] = procs.get(id(host), 0) + n
 
-        caps = np.zeros(total)
-        for i, s in enumerate(sessions):
+        caps = []
+        for s in sessions:
             eff = min(
                 s.source.cpu.efficiency(procs[id(s.source)]),
                 s.destination.cpu.efficiency(procs[id(s.destination)]),
             )
-            per_worker = min(
-                s.params.parallelism * s.tcp.stream_cap(s.path.rtt),
-                s.source.storage.per_process_read_bps * eff,
-                s.destination.storage.per_process_write_bps * eff,
-            )
-            caps[offsets[i] : offsets[i + 1]] = per_worker
-        return caps
-
-    # -- resource construction ----------------------------------------------------
-
-    def _build_resources(
-        self, sessions: list[TransferSession], offsets: np.ndarray
-    ) -> list[_Resource]:
-        resources: list[_Resource] = []
-
-        # Storage arrays (read side grouped by source storage object,
-        # write side by destination storage object).
-        read_groups: dict[int, list[int]] = {}
-        write_groups: dict[int, list[int]] = {}
-        read_fs: dict[int, object] = {}
-        write_fs: dict[int, object] = {}
-        send_nic_groups: dict[int, list[int]] = {}
-        recv_nic_groups: dict[int, list[int]] = {}
-        nic_of: dict[int, object] = {}
-        link_groups: dict[int, list[int]] = {}
-        link_streams: dict[int, list[int]] = {}
-        link_of: dict[int, Link] = {}
-
-        link_weights: dict[int, list[float]] = {}
-
-        for i, s in enumerate(sessions):
-            idx = list(range(offsets[i], offsets[i + 1]))
-            key = id(s.source.storage)
-            read_groups.setdefault(key, []).extend(idx)
-            read_fs[key] = s.source.storage
-            key = id(s.destination.storage)
-            write_groups.setdefault(key, []).extend(idx)
-            write_fs[key] = s.destination.storage
-            key = id(s.source.nic)
-            send_nic_groups.setdefault(key, []).extend(idx)
-            nic_of[key] = s.source.nic
-            key = id(s.destination.nic)
-            recv_nic_groups.setdefault(key, []).extend(idx)
-            nic_of[key] = s.destination.nic
-            for link in s.path:
-                key = id(link)
-                link_groups.setdefault(key, []).extend(idx)
-                link_streams.setdefault(key, []).extend([s.params.parallelism] * len(idx))
-                link_weights.setdefault(key, []).extend([s.tcp.aggressiveness] * len(idx))
-                link_of[key] = link
-
-        for key, idx in read_groups.items():
-            fs = read_fs[key]
-            resources.append(
-                _Resource(f"read:{fs.name}", np.array(idx), fs.allocate_read)
-            )
-        for key, idx in write_groups.items():
-            fs = write_fs[key]
-            resources.append(
-                _Resource(f"write:{fs.name}", np.array(idx), fs.allocate_write)
-            )
-        for key, idx in send_nic_groups.items():
-            nic = nic_of[key]
-            resources.append(_Resource(f"nic-tx:{nic.name}", np.array(idx), nic.allocate))
-        for key, idx in recv_nic_groups.items():
-            nic = nic_of[key]
-            resources.append(_Resource(f"nic-rx:{nic.name}", np.array(idx), nic.allocate))
-        for key, idx in link_groups.items():
-            link = link_of[key]
-            streams = np.array(link_streams[key])
-            weights = np.array(link_weights[key])
-            resources.append(
-                _Resource(
-                    f"link:{link.name}",
-                    np.array(idx),
-                    _flow_allocator(link, streams, weights),
-                    streams=streams,
-                    link=link,
+            caps.append(
+                min(
+                    s.params.parallelism * s.tcp.stream_cap(s.path_rtt),
+                    s.source.storage.per_process_read_bps * eff,
+                    s.destination.storage.per_process_write_bps * eff,
                 )
             )
-        return resources
+        return np.array(caps)
 
     # -- iterative waterfilling -----------------------------------------------------
 
@@ -541,36 +508,73 @@ class FluidTransferNetwork:
         return 1.0 - survive
 
 
-def _flow_allocator(link: Link, streams: np.ndarray, weights: np.ndarray | None = None):
-    """Build an allocator that arbitrates at *flow* granularity.
+def _number_resources(
+    sessions: list[TransferSession],
+) -> tuple[list[tuple[str, Callable]], list[Link], list[list[int]], list[list[int]]]:
+    """Number the resources ``sessions`` use, by kind and first appearance.
 
-    A worker with parallelism ``p`` presents ``p`` equal flows, so at a
-    saturated link a session's share is proportional to its total stream
-    count — the mechanism behind both the benefit and the aggression of
-    high concurrency/parallelism.
-
-    ``weights`` carries per-worker transport aggressiveness: loss-based
-    TCP flows weigh 1.0; a BBR-flavoured transport (the paper's future
-    work, modelled as less loss-deferential) claims proportionally more
-    of a saturated link.
-
-    The flow expansion scaffolding (reduceat boundaries, expanded
-    weights) depends only on ``streams``/``weights``, so it is computed
-    once per topology build rather than per step.
+    Host-side resources come first, in four kinds (read storage, write
+    storage, sending NIC, receiving NIC), then links; within a kind, in
+    the order sessions first use them.  That order fixes the
+    waterfill's float order.  Returns ``(host, links, rows, paths)``:
+    each host-side resource's name and allocator, the links, each
+    session's resource indices ascending (padded with the sentinel
+    index ``n_res`` to one width), and each session's path as link
+    slots in path order (padded with the zero-loss sentinel slot).
     """
-    uniform = weights is None or np.all(weights == weights[0] if weights.size else True)
-    boundaries = np.concatenate([[0], np.cumsum(streams)[:-1]])
-    flow_weights = None if uniform else np.repeat(weights, streams)
+    ends = [
+        (s.source.storage, s.destination.storage, s.source.nic, s.destination.nic)
+        for s in sessions
+    ]
+    kinds = []
+    rows: list[list[int]] = [[] for _ in sessions]
+    n_host = 0
+    for column in zip(*ends):
+        seen = {id(obj): obj for obj in column}
+        index = {key: r for r, key in enumerate(seen, n_host)}
+        for row, obj in zip(rows, column):
+            row.append(index[id(obj)])
+        kinds.append(seen.values())
+        n_host += len(seen)
+    read, write, tx, rx = kinds
+    host = [
+        *((f"read:{fs.name}", fs.allocate_read) for fs in read),
+        *((f"write:{fs.name}", fs.allocate_write) for fs in write),
+        *((f"nic-tx:{nic.name}", nic.allocate) for nic in tx),
+        *((f"nic-rx:{nic.name}", nic.allocate) for nic in rx),
+    ]
+    links = {id(link): link for s in sessions for link in s.path}
+    slot = {key: j for j, key in enumerate(links)}
+    paths = [[slot[id(link)] for link in s.path] for s in sessions]
+    n_links = len(links)
+    width = max(map(len, paths))
+    for row, path in zip(rows, paths):
+        row += sorted(n_host + j for j in path)
+        row += [n_host + n_links] * (width - len(path))
+        path += [n_links] * (width - len(path))
+    return host, list(links.values()), rows, paths
 
-    def allocate(demands: np.ndarray) -> np.ndarray:
-        flow_demands = np.repeat(demands / streams, streams)
-        if uniform:
-            flow_alloc = link.allocate(flow_demands)
-        else:
-            flow_alloc = weighted_max_min_fair_share(
-                flow_demands, flow_weights, link.effective_capacity
-            )
-        # Sum each worker's flows back together.
-        return np.add.reduceat(flow_alloc, boundaries) if flow_alloc.size else flow_alloc
 
-    return allocate
+def _memberships(
+    rows: list[list[int]], expand: np.ndarray, n_res: int
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Every (resource, worker) membership, sorted by resource: one CSR array.
+
+    ``rows`` holds each session's resource indices (sentinel-padded)
+    and ``expand`` each worker's session.  Returns ``(bounds, workers,
+    other)``: resource ``r``'s members are ``workers[bounds[r] :
+    bounds[r + 1]]``, ascending, and row ``i`` of ``other`` is the
+    resources serving ``workers[i]`` with its own masked to the grants
+    matrix's always-inf sentinel column ``n_res``.
+    """
+    table = np.array(rows)[expand]
+    flat = table.ravel()
+    # Stable: within a resource, memberships keep worker order.
+    order = flat.argsort(kind="stable")
+    res_of = flat[order]
+    bounds = res_of.searchsorted(np.arange(n_res + 1))
+    n_members = int(bounds[-1])
+    workers = order[:n_members] // table.shape[1]
+    other = table[workers]
+    other[other == res_of[:n_members, None]] = n_res
+    return bounds.tolist(), workers, other

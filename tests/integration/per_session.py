@@ -9,18 +9,26 @@ longer carries:
   per-session advance, which each session runs on its own arrays.  The
   batched store must reproduce it bit for bit
   (``tests/integration/test_batch_parity.py``).
+* :func:`reference_topology` — the dict-grouping topology builder the
+  executor's array build replaced: one Python pass per session and per
+  worker, with each link's allocator state computed on its own.  The
+  executor's build must equal it exactly
+  (``tests/transfer/test_topology_build.py``).
 * :class:`CacheCheckedNetwork` — the production executor plus a
-  cache-freshness check on every fluid step: a from-scratch topology
-  and equilibrium must equal the cached ones whenever the cache claims
-  to be current.
+  cache-freshness check on every fluid step: a from-scratch reference
+  topology and equilibrium must equal the cached ones whenever the
+  cache claims to be current.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
+from repro.network.link import Link
 from repro.sim.batch import BatchStore
-from repro.transfer.executor import FluidTransferNetwork, _Topology
+from repro.transfer.executor import FluidTransferNetwork, _allocate_flows, _Resource, _Topology
 from repro.transfer.session import TransferSession
 
 
@@ -114,6 +122,209 @@ class PerSessionNetwork(FluidTransferNetwork):
                 self.remove_session(s)
 
 
+def reference_topology(sessions: list[TransferSession]) -> _Topology:
+    """The executor's topology for ``sessions``, built the pre-CSR way.
+
+    Resources are grouped in dicts keyed by object identity, in
+    first-appearance order per kind; each worker's resource row is
+    filled resource by resource; link RTTs re-sum each path's link
+    delays (``Path.rtt``), not the session's cached value; each link's
+    flow boundaries and weights are computed on their own.  Builds and
+    adopts a fresh :class:`BatchStore`, exactly as the executor does.
+    """
+    counts = np.array([s.rates.size for s in sessions])
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    total = int(offsets[-1])
+
+    resources = _reference_resources(sessions, offsets)
+    n_res = len(resources)
+
+    res_count = np.zeros(total, dtype=np.intp)
+    for res in resources:
+        res_count[res.members] += 1
+    k_max = int(res_count.max()) if total else 0
+    worker_res = np.full((total, max(k_max, 1)), n_res, dtype=np.intp)
+    fill = np.zeros(total, dtype=np.intp)
+    for r, res in enumerate(resources):
+        worker_res[res.members, fill[res.members]] = r
+        fill[res.members] += 1
+
+    link_rtt: dict[int, float] = {}
+    for s in sessions:
+        for link in s.path:
+            key = id(link)
+            link_rtt[key] = max(link_rtt.get(key, 0.0), s.path.rtt)
+
+    for r, res in enumerate(resources):
+        rows = worker_res[res.members]
+        res.members_col = res.members[:, None]
+        res.other_rows = np.where(rows == r, n_res, rows)
+        if res.link is not None:
+            res.n_flows = int(res.allocate.args[1].sum())
+            res.link_rtt = link_rtt.get(id(res.link), 0.0)
+
+    link_resources = [res for res in resources if res.link is not None]
+    link_slot = {id(res.link): j for j, res in enumerate(link_resources)}
+    width = max((len(s.path) for s in sessions), default=0)
+    session_link_rows = np.full((len(sessions), max(width, 1)), len(link_resources), dtype=np.intp)
+    for i, s in enumerate(sessions):
+        session_link_rows[i, : len(s.path)] = [link_slot[id(link)] for link in s.path]
+
+    return _Topology(
+        sessions=list(sessions),
+        offsets=offsets,
+        total=total,
+        resources=resources,
+        caps_full=_reference_caps_full(sessions, offsets, total),
+        grants=np.full((total, n_res + 1), np.inf),
+        link_resources=link_resources,
+        session_link_rows=session_link_rows,
+        batch=BatchStore(sessions, offsets),
+    )
+
+
+def _reference_caps_full(
+    sessions: list[TransferSession], offsets: np.ndarray, total: int
+) -> np.ndarray:
+    procs: dict[int, int] = {}
+    for s in sessions:
+        for host in (s.source, s.destination):
+            procs[id(host)] = procs.get(id(host), 0) + s.rates.size
+    caps = np.zeros(total)
+    for i, s in enumerate(sessions):
+        eff = min(
+            s.source.cpu.efficiency(procs[id(s.source)]),
+            s.destination.cpu.efficiency(procs[id(s.destination)]),
+        )
+        caps[offsets[i] : offsets[i + 1]] = min(
+            s.params.parallelism * s.tcp.stream_cap(s.path.rtt),
+            s.source.storage.per_process_read_bps * eff,
+            s.destination.storage.per_process_write_bps * eff,
+        )
+    return caps
+
+
+def _reference_resources(
+    sessions: list[TransferSession], offsets: np.ndarray
+) -> list[_Resource]:
+    """Resources grouped per kind; :func:`reference_topology` fills in
+    ``other_rows`` (empty here), ``n_flows`` and ``link_rtt``."""
+    read_groups: dict[int, list[int]] = {}
+    write_groups: dict[int, list[int]] = {}
+    send_nic_groups: dict[int, list[int]] = {}
+    recv_nic_groups: dict[int, list[int]] = {}
+    obj_of: dict[int, object] = {}
+    link_groups: dict[int, list[int]] = {}
+    link_streams: dict[int, list[int]] = {}
+    link_weights: dict[int, list[float]] = {}
+    link_of: dict[int, Link] = {}
+
+    for i, s in enumerate(sessions):
+        idx = list(range(offsets[i], offsets[i + 1]))
+        for groups, obj in (
+            (read_groups, s.source.storage),
+            (write_groups, s.destination.storage),
+            (send_nic_groups, s.source.nic),
+            (recv_nic_groups, s.destination.nic),
+        ):
+            groups.setdefault(id(obj), []).extend(idx)
+            obj_of[id(obj)] = obj
+        for link in s.path:
+            key = id(link)
+            link_groups.setdefault(key, []).extend(idx)
+            link_streams.setdefault(key, []).extend([s.params.parallelism] * len(idx))
+            link_weights.setdefault(key, []).extend([s.tcp.aggressiveness] * len(idx))
+            link_of[key] = link
+
+    resources = []
+    for prefix, groups, allocator in (
+        ("read", read_groups, "allocate_read"),
+        ("write", write_groups, "allocate_write"),
+        ("nic-tx", send_nic_groups, "allocate"),
+        ("nic-rx", recv_nic_groups, "allocate"),
+    ):
+        for key, idx in groups.items():
+            obj = obj_of[key]
+            members = np.array(idx)
+            resources.append(
+                _Resource(
+                    f"{prefix}:{obj.name}",
+                    members,
+                    members[:, None],
+                    np.empty((0, 0)),
+                    getattr(obj, allocator),
+                )
+            )
+    for key, idx in link_groups.items():
+        link = link_of[key]
+        streams = np.array(link_streams[key])
+        weights = np.array(link_weights[key])
+        members = np.array(idx)
+        uniform = bool(np.all(weights == weights[0]))
+        resources.append(
+            _Resource(
+                f"link:{link.name}",
+                members,
+                members[:, None],
+                np.empty((0, 0)),
+                partial(
+                    _allocate_flows,
+                    link,
+                    streams,
+                    np.concatenate([[0], np.cumsum(streams)[:-1]]),
+                    None if uniform else np.repeat(weights, streams),
+                ),
+                link=link,
+            )
+        )
+    return resources
+
+
+def assert_same_topology(want: _Topology, got: _Topology, msg: str) -> None:
+    """Exact equality of every field a fluid step reads from a topology.
+
+    Arrays compare by dtype, shape and value; a storage or NIC
+    allocator by identity of the object it allocates for, a link's by
+    its bound link, streams, flow boundaries and flow weights.  The
+    assertion names the first field that differs.
+    """
+
+    def same(field: str, a, b) -> None:
+        assert a == b, f"{msg}: {field}"
+
+    def arr(a):
+        return None if a is None else (a.dtype.str, a.shape, a.tolist())
+
+    same("sessions", [id(s) for s in want.sessions], [id(s) for s in got.sessions])
+    same("offsets", want.offsets.tolist(), got.offsets.tolist())
+    same("total", want.total, got.total)
+    same("caps_full", arr(want.caps_full), arr(got.caps_full))
+    # The grants matrix is waterfill scratch: only its shape is fixed.
+    same("grants", want.grants.shape, got.grants.shape)
+    same("resource names", [r.name for r in want.resources], [r.name for r in got.resources])
+    for w, g in zip(want.resources, got.resources):
+        for field in ("members", "members_col", "other_rows"):
+            same(f"{w.name} {field}", arr(getattr(w, field)), arr(getattr(g, field)))
+        same(f"{w.name} n_flows", (type(w.n_flows), w.n_flows), (type(g.n_flows), g.n_flows))
+        same(f"{w.name} link_rtt", w.link_rtt, g.link_rtt)
+        same(f"{w.name} link", id(w.link), id(g.link))
+        if w.link is None:
+            same(f"{w.name} allocator", w.allocate, g.allocate)
+            continue
+        same(f"{w.name} allocator", w.allocate.func, g.allocate.func)
+        same(f"{w.name} allocator link", id(w.allocate.args[0]), id(g.allocate.args[0]))
+        fields = ("streams", "boundaries", "flow_weights")
+        for field, a, b in zip(fields, w.allocate.args[1:], g.allocate.args[1:]):
+            same(f"{w.name} {field}", arr(a), arr(b))
+    same("link resources", [r.name for r in want.link_resources], [r.name for r in got.link_resources])
+    same(
+        "link resources",
+        [id(r) for r in got.resources if r.link is not None],
+        [id(r) for r in got.link_resources],
+    )
+    same("session_link_rows", arr(want.session_link_rows), arr(got.session_link_rows))
+
+
 def _reattach(batch: BatchStore) -> None:
     """Point every session of ``batch`` back at its views into the store."""
     for i, s in enumerate(batch.sessions):
@@ -133,7 +344,9 @@ class CacheCheckedNetwork(FluidTransferNetwork):
     """The production executor, checking its caches before every step.
 
     While the dirty flag is clear the cached topology must equal one
-    rebuilt from scratch; while the epoch pair also matches the cache
+    :func:`reference_topology` builds from scratch, field by field (see
+    :func:`assert_same_topology`), so a stale cache and a misbuilt one
+    both fail; while the epoch pair also matches the cache
     key, every cached per-equilibrium vector must equal one recomputed
     from scratch.  Both comparisons are exact.  The store's idle flags,
     when kept, must flag every session that has a worker without a
@@ -157,12 +370,9 @@ class CacheCheckedNetwork(FluidTransferNetwork):
             return
         # The rebuild's store adopts every session; hand them back to
         # the live store right away.
-        fresh = self._build_topology(sessions)
+        fresh = reference_topology(sessions)
         _reattach(cached.batch)
-        stale = "stale topology behind a clear dirty flag"
-        assert [id(s) for s in fresh.sessions] == [id(s) for s in cached.sessions], stale
-        assert fresh.offsets.tolist() == cached.offsets.tolist(), stale
-        assert fresh.caps_full.tolist() == cached.caps_full.tolist(), stale
+        assert_same_topology(fresh, cached, "stale or misbuilt topology behind a clear dirty flag")
         self.topology_checks += 1
         idle = cached.batch.idle
         if idle is not None:

@@ -6,10 +6,13 @@ on hooks: session add/remove and parameter changes raise the dirty
 flag, and every change to which workers hold a file bumps the demand
 epoch.  :class:`CacheCheckedNetwork` rebuilds everything from scratch
 before each fluid step and requires exact equality with what the
-caches hold whenever they claim to be current.  It runs here over the
+caches hold whenever they claim to be current; the from-scratch
+topology comes from the retired dict-grouping builder, so the check
+also holds the executor's array build to it.  It runs here over the
 golden scenario, the faulted 8 x 64 competition, and the quick
-``open-workload`` flaky-network leg; the canary shows a missed demand
-hook is caught.
+``open-workload`` flaky-network leg; the canaries show that a missed
+demand hook, kept idle flags, swapped resources and an under-counted
+link are each caught.
 """
 
 from __future__ import annotations
@@ -98,4 +101,40 @@ def test_canary_kept_idle_flags_are_caught(checked, monkeypatch):
     monkeypatch.setattr(FluidTransferNetwork, "note_demand_change", bump_epoch_only)
     cls, _ = checked
     with pytest.raises(AssertionError, match="idle worker in a session flagged busy"):
+        run_competition(cls)
+
+
+def _misbuilt(monkeypatch, damage) -> None:
+    """Make every executor's topology build apply ``damage`` to its result."""
+    build = FluidTransferNetwork._build_topology
+
+    def damaged(self, sessions):
+        topo = build(self, sessions)
+        damage(topo)
+        return topo
+
+    monkeypatch.setattr(FluidTransferNetwork, "_build_topology", damaged)
+
+
+def test_canary_swapped_resources_are_caught(checked, monkeypatch):
+    # Resource order fixes the waterfill's float order: a build that
+    # lists two resources the other way round is a different topology.
+    def swap(topo):
+        res = topo.resources
+        res[0], res[1] = res[1], res[0]
+
+    _misbuilt(monkeypatch, swap)
+    cls, _ = checked
+    with pytest.raises(AssertionError, match="misbuilt topology.*: resource names"):
+        run_golden_scenario(cls)
+
+
+def test_canary_undercounted_link_flows_are_caught(checked, monkeypatch):
+    # One flow too few on a link understates its loss.
+    def undercount(topo):
+        topo.link_resources[-1].n_flows -= 1
+
+    _misbuilt(monkeypatch, undercount)
+    cls, _ = checked
+    with pytest.raises(AssertionError, match="misbuilt topology.*n_flows"):
         run_competition(cls)

@@ -40,7 +40,7 @@ class TestBlendCache:
             per_worker = store._blends_for(dt)[1]
             expected = np.array(
                 [1.0 - float(np.exp(-dt / tau)) for tau in store._tau]
-            )[store._expand]
+            )[store.expand]
             np.testing.assert_array_equal(per_worker, expected, err_msg=f"dt={dt}")
         assert len(store._blend_cache) == 3
 
@@ -55,4 +55,4 @@ class TestBlendCache:
     def test_expand_gather_matches_repeat(self):
         store = make_store(n_sessions=3, concurrency=5)
         v = np.linspace(1.0, 3.0, 3)
-        np.testing.assert_array_equal(v[store._expand], np.repeat(v, store.counts))
+        np.testing.assert_array_equal(v[store.expand], np.repeat(v, store.counts))

@@ -251,6 +251,14 @@ class TestEquilibriumEpochCache:
         assert hits > prof.fluid_steps * 0.8
         assert recomputes < prof.fluid_steps * 0.2
 
+    def test_profile_times_every_topology_rebuild(self):
+        engine, net, session = self.steady_setup()
+        prof = engine.enable_profiling()
+        engine.run_for(1.0)
+        session.set_concurrency(12)
+        engine.run_for(1.0)
+        assert prof.counts["topology"] == 2
+
     def test_demand_epoch_bumped_by_crash_and_reassignment(self):
         # The initial add_session assignment predates the hook on
         # purpose (no cache exists yet); what matters is every change
