@@ -1,6 +1,9 @@
 """Tracing-overhead benchmark on the 8x64 hot-path scenario.
 
-Measures what the observability layer costs, in two legs:
+Eight site pairs cross one saturated 10 Gbps backbone, 64 workers per
+session, so every fluid step exercises demand caps, waterfilling, loss
+and the session advance for 512 workers.  Measures what the
+observability layer costs on it, in two legs:
 
 * **off** — no tracer established; every instrumentation hook is a
   single ``current_tracer() is None`` check.  The acceptance budget is
@@ -22,15 +25,26 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 import time
 from pathlib import Path as FsPath
 
-sys.path.insert(0, str(FsPath(__file__).resolve().parent))
+from repro.hosts.dtn import DataTransferNode
+from repro.hosts.nic import Nic
+from repro.network.link import Link
+from repro.network.path import Path
+from repro.network.queue import DropTailLossModel, NoLossModel
+from repro.obs import InMemoryExporter, use_tracing
+from repro.sim.engine import SimulationEngine
+from repro.storage.parallel_fs import ParallelFileSystem
+from repro.testbeds.base import Testbed
+from repro.transfer.dataset import uniform_dataset
+from repro.transfer.executor import FluidTransferNetwork
+from repro.transfer.session import TransferParams
+from repro.units import GB, Gbps, milliseconds
 
-from bench_hotpath import CONCURRENCY, N_SESSIONS, build_scenario  # noqa: E402
-
-from repro.obs import InMemoryExporter, use_tracing  # noqa: E402
+#: Scenario shape: 8 sessions x 64 workers.
+N_SESSIONS = 8
+CONCURRENCY = 64
 
 #: Wall seconds for the default scenario (30 s sim, dt=0.1, best of 6,
 #: no profiling) measured on the reference container at commit 39e5db1,
@@ -40,6 +54,49 @@ BASELINE_PRE_OBS = {"wall_seconds": 0.1077}
 
 #: Acceptance budget for the tracing-off leg, as a fraction.
 OFF_BUDGET = 0.03
+
+
+def build_scenario(n_sessions: int = N_SESSIONS, concurrency: int = CONCURRENCY, dt: float = 0.1):
+    """``n_sessions`` site pairs crossing one shared 10 Gbps backbone."""
+    engine = SimulationEngine(dt=dt)
+    network = FluidTransferNetwork(engine)
+    backbone = Link(
+        "backbone", 10 * Gbps, delay=milliseconds(10), loss_model=DropTailLossModel()
+    )
+    lossless = NoLossModel()
+    sessions = []
+    for i in range(n_sessions):
+        storage = ParallelFileSystem(name=f"pfs-{i}")
+        src = DataTransferNode(f"src-{i}", storage=storage, nic=Nic(40 * Gbps, name=f"nic-s{i}"))
+        dst = DataTransferNode(
+            f"dst-{i}",
+            storage=ParallelFileSystem(name=f"pfs-{i}d"),
+            nic=Nic(40 * Gbps, name=f"nic-d{i}"),
+        )
+        path = Path(
+            links=(
+                Link(f"edge-src-{i}", 40 * Gbps, delay=milliseconds(1), loss_model=lossless),
+                backbone,
+                Link(f"edge-dst-{i}", 40 * Gbps, delay=milliseconds(1), loss_model=lossless),
+            ),
+            name=f"path-{i}",
+        )
+        tb = Testbed(
+            name=f"site-{i}",
+            source=src,
+            destination=dst,
+            path=path,
+            sample_interval=5.0,
+            bottleneck="Network",
+        )
+        session = tb.new_session(
+            uniform_dataset(256, 1 * GB),
+            params=TransferParams(concurrency=concurrency, parallelism=2),
+            repeat=True,
+        )
+        network.add_session(session)
+        sessions.append(session)
+    return engine, network, sessions
 
 
 def run_leg(sim_time: float, dt: float = 0.1, traced: bool = False, repeats: int = 6) -> dict:

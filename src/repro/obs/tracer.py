@@ -5,7 +5,7 @@ Mirrors the runner's ambient-configuration pattern
 a tracer argument — they ask :func:`current_tracer` and skip all work
 when it returns ``None``.  That single ``None`` check is the entire
 disabled-path cost, which is how the <3% off-overhead budget on the
-hot-path bench is met (pinned by ``benchmarks/bench_obs.py``).
+hot-path bench is met (measured by ``benchmarks/bench_obs.py``).
 
 Timestamps come from the simulation clock, never the wall clock: the
 engine pushes its ``now`` into :attr:`Tracer.now` as it advances, so

@@ -21,7 +21,6 @@ from __future__ import annotations
 # measurement; it observes the simulator and never feeds sim state.
 
 import time
-from contextlib import contextmanager
 
 from repro.units import seconds_to_us
 
@@ -43,15 +42,6 @@ class PerfCounters:
         self.totals[name] = self.totals.get(name, 0.0) + seconds
         self.counts[name] = self.counts.get(name, 0) + 1
 
-    @contextmanager
-    def timer(self, name: str):
-        """Context manager timing one subsystem invocation."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - t0)
-
     def note_step(self, dt: float) -> None:
         """Record one completed fluid step of size ``dt``."""
         self.fluid_steps += 1
@@ -68,16 +58,6 @@ class PerfCounters:
         """Fluid steps per wall second since creation."""
         wall = self.wall_seconds
         return self.fluid_steps / wall if wall > 0 else 0.0
-
-    def snapshot(self) -> dict:
-        """All counters as a JSON-friendly dict."""
-        return {
-            "fluid_steps": self.fluid_steps,
-            "sim_seconds": round(self.sim_seconds, 6),
-            "wall_seconds": round(self.wall_seconds, 6),
-            "steps_per_second": round(self.steps_per_second(), 1),
-            "subsystem_seconds": {k: round(v, 6) for k, v in sorted(self.totals.items())},
-        }
 
     def report(self) -> str:
         """Human-readable table of where wall time went."""

@@ -300,5 +300,44 @@ class TestMakeShards:
         assert b.state is not JobState.REJECTED
 
 
+class TestShardScaling:
+    """Shards are independent engines, so admitted goodput scales with them.
+
+    Both runs see the same offered load, sized to oversubscribe four
+    shards' capacity 2.4x over the arrival window and submitted at a
+    fixed cadence, then run to twice that window of simulated time.  The
+    1-shard run saturates (its bounded queue sheds the excess); the
+    4-shard run spreads it, so the ratio of completed bytes is the
+    admitted-goodput scaling factor.  Simulated bytes, not wall time:
+    the test is deterministic.
+    """
+
+    SHARDS = 4
+    OVERSUBSCRIBE = 2.4
+    JOBS = 100
+    HORIZON = 60.0
+
+    def _moved(self, n_shards: int) -> float:
+        plane = ShardedControlPlane(
+            make_shards(n_shards, seed=0, max_active=8), ControlPolicy(max_queue=64)
+        )
+        plane.register_tenant(TenantSpec("load"))
+        capacity = hpclab().max_throughput() / 8.0 * self.HORIZON * self.SHARDS
+        per_job = self.OVERSUBSCRIBE * capacity / self.JOBS
+        interval = self.HORIZON / self.JOBS
+        for i in range(self.JOBS):
+            plane.run_until(i * interval)
+            plane.submit(hpclab, uniform_dataset(1, per_job), "load", name=f"j{i}")
+        plane.run_until(2.0 * self.HORIZON)
+        return sum(
+            job.report.bytes_moved for job in plane.jobs() if job.state is JobState.COMPLETED
+        )
+
+    def test_four_shards_move_at_least_three_times_one(self):
+        one = self._moved(1)
+        assert one > 0.0
+        assert self._moved(self.SHARDS) >= 3.0 * one
+
+
 def _to_name(plane, testbed_name: str) -> str:
     return plane.shards[_stable_index(testbed_name, len(plane.shards))].name

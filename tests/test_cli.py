@@ -72,6 +72,13 @@ class TestCommands:
         assert "steady throughput" in out
         assert "Gbps" in out
 
+    def test_tune_profile_reports_subsystems(self, capsys):
+        assert main(["tune", "hpclab", "--duration", "60", "--profile"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("fluid steps: ") for line in lines)
+        rows = {line.split()[0] for line in lines if line.startswith("  ") and line.strip()}
+        assert {"waterfill", "topology"} <= rows
+
     def test_export_table1(self, tmp_path, capsys):
         out = tmp_path / "t1.json"
         assert main(["export", "table1", "--out", str(out)]) == 0
