@@ -6,11 +6,14 @@ and the session advance for 512 workers.  Measures what the
 observability layer costs on it, in two legs:
 
 * **off** — no tracer established; every instrumentation hook is a
-  single ``current_tracer() is None`` check.  The acceptance budget is
-  <3% overhead vs. the pre-instrumentation baseline captured on the
-  same scenario (``BASELINE_PRE_OBS`` below).
+  single ``current_tracer() is None`` check.  The stated budget is <3%
+  overhead vs. the pre-instrumentation baseline captured on the same
+  scenario (``BASELINE_PRE_OBS`` below).  That constant predates every
+  later speedup of the executor, so the reading is far below it and
+  the budget cannot fail.
 * **on** — full tracing to an in-memory exporter, reported for scale
-  (this leg has no budget; you opted into recording every fluid step).
+  (this leg has no budget).  The trace records changes, not steps:
+  one ``fluid.rebalance`` per equilibrium recompute, not one per step.
 
 Run directly (not under pytest)::
 

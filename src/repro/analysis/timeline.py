@@ -59,7 +59,7 @@ def build_timelines(events: Iterable[TraceEvent]) -> dict[str, SessionTimeline]:
     """Fold an event stream into per-session timelines.
 
     Sessions appear in first-seen order; events of types that carry no
-    session (engine steps, faults, jobs) are ignored here — see
+    session (engine events, faults, jobs) are ignored here — see
     :func:`summarize` for the whole-trace view.
     """
     timelines: dict[str, SessionTimeline] = {}

@@ -153,17 +153,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
     out = args.out or f"{args.experiment}.trace.jsonl"
     memory = InMemoryExporter()
     with JsonlExporter(out) as sink:
-        with use_tracing(sink, memory) as tracer:
+        with use_tracing(sink, memory):
             with use_runner(jobs=1, cache=None):
                 output = render_experiment(args.experiment, quick=args.quick)
     print(output)
-    rows = [
-        (s.type, s.count, f"{s.first:.1f}", f"{s.last:.1f}")
-        for s in summarize(memory.events)
-    ]
+    summary = summarize(memory.events)
+    rows = [(s.type, s.count, f"{s.first:.1f}", f"{s.last:.1f}") for s in summary]
     print(format_table(["event", "count", "first[s]", "last[s]"], rows))
-    counters = tracer.metrics.snapshot()["counters"]
-    decisions = int(counters.get("optimizer.decisions", 0))
+    decisions = sum(s.count for s in summary if s.type == "optimizer.decision")
     print(
         f"{len(memory.events)} events ({decisions} optimizer decisions) -> {out}",
         file=sys.stderr,
@@ -261,10 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--jobs", type=int, default=1, metavar="N", help="process fan-out width (default 1)"
     )
-    run.add_argument(
+    cache = run.add_mutually_exclusive_group()
+    cache.add_argument(
         "--no-cache", action="store_true", help="skip the content-addressed result cache"
     )
-    run.add_argument(
+    cache.add_argument(
         "--cache-dir", default=None, help="cache directory (default .repro-cache or $REPRO_CACHE_DIR)"
     )
     run.add_argument(

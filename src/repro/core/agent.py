@@ -104,14 +104,11 @@ class FalconAgent:
                 pipelining=params.pipelining,
                 valid=sample.valid,
             )
-            tracer.metrics.inc("monitor.samples")
         if not sample.valid:
             # The interval overlapped an infrastructure outage: the
             # reading reflects the fault, not the setting.  Feeding it
             # to GD/BO would send the search chasing a zero-throughput
             # cliff, so the tick is dropped (params stay, no history).
-            if tracer is not None:
-                tracer.metrics.inc("monitor.invalid_samples")
             return
         u = self.utility(sample)
         if tracer is not None:
@@ -122,7 +119,6 @@ class FalconAgent:
                 throughput_bps=sample.throughput_bps,
                 loss_rate=sample.loss_rate,
             )
-            tracer.metrics.observe("agent.utility", u)
         obs = Observation(params=params, utility=u, sample=sample)
         proposal = self.optimizer.update(obs)
         next_params = self._apply(proposal)
@@ -136,7 +132,6 @@ class FalconAgent:
                 pipelining=next_params.pipelining,
                 utility=u,
             )
-            tracer.metrics.inc("optimizer.decisions")
         self.history.append(
             DecisionRecord(
                 time=now,

@@ -140,14 +140,10 @@ class FaultInjector:
         if tracer is not None:
             if kind.endswith("-skip"):
                 tracer.emit(FaultSkipped, kind=kind[:-5], target=target, reason=detail)
-                tracer.metrics.inc("faults.skipped")
             elif kind.endswith("-end"):
                 tracer.emit(FaultRecovered, kind=kind[:-4], target=target)
-                tracer.metrics.inc("faults.recovered")
             else:
                 tracer.emit(FaultInjected, kind=kind, target=target, detail=detail)
-                tracer.metrics.inc("faults.injected")
-
     def records(self, kind: str | None = None) -> list[FaultRecord]:
         """The audit log, optionally filtered by kind."""
         if kind is None:

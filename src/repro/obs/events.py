@@ -1,6 +1,6 @@
 """Typed, frozen trace-event records and the event-type registry.
 
-Every observable fact a run produces — an engine step, a monitor
+Every observable fact a run produces — a fired event, a monitor
 sample, an optimizer decision, a fault injection — is one frozen
 dataclass here.  Records are *data*, never behaviour: fields are JSON
 primitives so the JSONL exporter can round-trip them exactly, and the
@@ -121,18 +121,6 @@ def field_specs(cls: type[TraceEvent]) -> list[tuple[str, str, str, str]]:
 # ---------------------------------------------------------------------------
 
 
-@event("engine.step", emitted_by="repro.sim.engine.SimulationEngine._advance_fluid")
-class EngineStep(TraceEvent):
-    """One fluid-integration step completed.
-
-    ``time`` is the clock *after* the step; ``dt`` is the step span in
-    seconds (the engine shortens steps to land exactly on event
-    timestamps, so ``dt`` is at most the configured step size).
-    """
-
-    dt: float = unit_field("s", "span integrated by this step", 0.0)
-
-
 @event("engine.event", emitted_by="repro.sim.engine.SimulationEngine._fire_due_events")
 class EngineEventFired(TraceEvent):
     """A scheduled discrete event fired.
@@ -151,9 +139,13 @@ class EngineEventFired(TraceEvent):
 
 @event("fluid.rebalance", emitted_by="repro.transfer.executor.FluidTransferNetwork._emit_rebalance")
 class FluidRebalance(TraceEvent):
-    """Per-step joint arbitration summary across all active sessions.
+    """A new joint equilibrium across all active sessions.
 
-    ``time`` is the start of the fluid step the allocation applies to.
+    Emitted once per equilibrium recompute: when a topology rebuild, a
+    demand change or a link-fault change invalidates the cached
+    allocation.  Steps that reuse the cached allocation emit nothing,
+    so each record holds until the next one.  ``time`` is the start of
+    the fluid step that first runs on the allocation.
     """
 
     sessions: int = unit_field("-", "active sessions arbitrated", 0)

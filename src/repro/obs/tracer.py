@@ -4,8 +4,10 @@ Mirrors the runner's ambient-configuration pattern
 (:func:`repro.runner.use_runner`): instrumentation sites never receive
 a tracer argument — they ask :func:`current_tracer` and skip all work
 when it returns ``None``.  That single ``None`` check is the entire
-disabled-path cost, which is how the <3% off-overhead budget on the
-hot-path bench is met (measured by ``benchmarks/bench_obs.py``).
+disabled-path cost.  The <3% tracing-off budget has no check that can
+fail: the hot-path bench it was stated on no longer exists, and
+``benchmarks/bench_obs.py`` compares against a stale constant, so its
+budget cannot trip until it is restated as a perfbench law.
 
 Timestamps come from the simulation clock, never the wall clock: the
 engine pushes its ``now`` into :attr:`Tracer.now` as it advances, so
@@ -19,7 +21,6 @@ from contextlib import contextmanager
 from typing import Any, Iterator, Optional, Protocol, Type
 
 from repro.obs.events import TraceEvent
-from repro.obs.metrics import Metrics
 
 
 class Exporter(Protocol):
@@ -31,18 +32,17 @@ class Exporter(Protocol):
 
 
 class Tracer:
-    """Event sink plus metrics registry for one traced run.
+    """Event sink for one traced run.
 
     ``now`` is the current simulation time in seconds; the engine
     updates it as the clock advances, and :meth:`emit` stamps events
     with it unless the call site passes an explicit ``t``.
     """
 
-    __slots__ = ("exporters", "metrics", "now")
+    __slots__ = ("exporters", "now")
 
-    def __init__(self, *exporters: Exporter, metrics: Metrics | None = None) -> None:
+    def __init__(self, *exporters: Exporter) -> None:
         self.exporters: tuple[Exporter, ...] = exporters
-        self.metrics = metrics if metrics is not None else Metrics()
         #: Simulation clock, seconds; pushed by the engine as it advances.
         self.now = 0.0
 
@@ -70,7 +70,7 @@ def current_tracer() -> Optional[Tracer]:
 
 
 @contextmanager
-def use_tracing(*exporters: Exporter, metrics: Metrics | None = None) -> Iterator[Tracer]:
+def use_tracing(*exporters: Exporter) -> Iterator[Tracer]:
     """Enable tracing for a ``with`` block, yielding the live tracer.
 
     Nested blocks stack: the inner tracer wins until its block exits,
@@ -78,7 +78,7 @@ def use_tracing(*exporters: Exporter, metrics: Metrics | None = None) -> Iterato
     """
     global _ACTIVE
     previous = _ACTIVE
-    _ACTIVE = Tracer(*exporters, metrics=metrics)
+    _ACTIVE = Tracer(*exporters)
     try:
         yield _ACTIVE
     finally:

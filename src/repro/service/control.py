@@ -216,7 +216,6 @@ class ControlPlane:
                 tracer.emit(
                     QuotaExhausted, tenant=tenant, job=job.name, rate=st.spec.quota_rate
                 )
-                tracer.metrics.inc("control.quota_exhausted")
             self._shed(job, SHED_QUOTA)
             return job
         depth = self.depth
@@ -246,7 +245,6 @@ class ControlPlane:
                 priority=job.priority.label,
                 queue_depth=self.depth,
             )
-            tracer.metrics.inc("control.admitted")
         self._pump()
         return job
 
@@ -326,7 +324,6 @@ class ControlPlane:
                 priority=job.priority.label,
                 reason=reason,
             )
-            tracer.metrics.inc(f"control.shed.{reason}")
         self.shed.append(job)
         self.service.reject(job, reason)
 
@@ -449,7 +446,6 @@ class ControlPlane:
                 priority=victim.priority.label,
                 by_priority=Priority(top).label,
             )
-            tracer.metrics.inc("control.preempted")
         self.service.preempt(victim)
         # Back of the line would double-charge its wait: resume first.
         if victim.tenant is not None:
@@ -522,8 +518,6 @@ class ControlPlane:
                         new_state=new.value,
                         failures=self._breakers[tb.name].failures,
                     )
-                    tracer.metrics.inc("control.breaker_changes")
-
             brk = CircuitBreaker(
                 self.policy.breaker_threshold,
                 self.policy.breaker_cooldown_s,

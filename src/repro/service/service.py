@@ -154,7 +154,6 @@ class FalconService:
         tracer = current_tracer()
         if tracer is not None:
             tracer.emit(JobSubmitted, job=job.name, job_id=job.job_id)
-            tracer.metrics.inc("jobs.submitted")
         return job
 
     def submit(self, testbed: Testbed, dataset: Dataset, name: str | None = None) -> TransferJob:
@@ -285,7 +284,6 @@ class FalconService:
                     restart=job.restarts,
                     max_restarts=policy.max_restarts,
                 )
-                tracer.metrics.inc("jobs.restarted")
             self._accumulate_carry(job, session, agent)
             self._launch(job, queue=session.queue)
         else:
@@ -326,8 +324,6 @@ class FalconService:
                 old_state=old.value,
                 new_state=state.value,
             )
-            tracer.metrics.inc(f"jobs.{state.value}")
-
     def _start(self, job: TransferJob) -> None:
         self._transition(job, JobState.RUNNING)
         job.started_at = self.engine.now
@@ -409,7 +405,6 @@ class FalconService:
             tracer.emit(
                 RetryScheduled, job=job.name, attempt=failed, delay_s=delay, size_bytes=size
             )
-            tracer.metrics.inc("jobs.retries")
         queue = job._extras["session"].queue
         # The hold keeps the file counted as remaining work so the
         # session cannot declare completion while the timer runs.  The
@@ -495,7 +490,6 @@ class FalconService:
                 tracer = current_tracer()
                 if tracer is not None:
                     tracer.emit(WatchdogKilled, job=job.name, worker=w)
-                    tracer.metrics.inc("jobs.watchdog_kills")
                 streak[w] = 0.0
                 session.crash_worker(w)
 

@@ -368,7 +368,6 @@ class ShardedControlPlane:
                 tracer.emit(
                     QuotaExhausted, tenant=tenant, job=job.name, rate=st.spec.quota_rate
                 )
-                tracer.metrics.inc("control.quota_exhausted")
             chosen.plane.shed_job(job, SHED_QUOTA)
             self.shed.append(job)
             return job
@@ -387,7 +386,6 @@ class ShardedControlPlane:
                     policy=self.router.placement,
                     queue_depth=chosen.plane.depth,
                 )
-                tracer.metrics.inc("control.routed")
         return job
 
     # -- introspection ---------------------------------------------------------
@@ -446,7 +444,4 @@ class ShardedControlPlane:
             reason=reason,
             queue_depth=home.plane.depth,
             rerouted_to=target.name if target is not None else "",
-        )
-        tracer.metrics.inc(
-            "control.rebalanced" if target is not None else "control.saturated"
         )

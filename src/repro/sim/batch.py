@@ -298,8 +298,6 @@ class BatchStore:
                         sessions=cascade_sessions,
                         workers=int(cascading.size),
                     )
-                    tracer.metrics.inc("fluid.cascade_fallbacks")
-
         self._finish(good_totals, losses, goodput, dt, now)
 
     def _slice_sums(

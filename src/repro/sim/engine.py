@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
-from repro.obs.events import EngineEventFired, EngineStep
+from repro.obs.events import EngineEventFired
 from repro.obs.tracer import current_tracer
 
 if TYPE_CHECKING:
@@ -234,8 +234,6 @@ class SimulationEngine:
             self._now += step
             if tracer is not None:
                 tracer.now = self._now
-                tracer.emit(EngineStep, dt=step)
-                tracer.metrics.inc("engine.steps")
             if self.profile is not None:
                 self.profile.note_step(step)
             nxt = self._peek_time()

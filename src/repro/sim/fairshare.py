@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.tracer import current_tracer
-
 
 def max_min_fair_share(demands: np.ndarray, capacity: float) -> np.ndarray:
     """Allocate ``capacity`` among ``demands`` max-min fairly.
@@ -45,14 +43,6 @@ def max_min_fair_share(demands: np.ndarray, capacity: float) -> np.ndarray:
         raise ValueError("demands must be non-negative")
     if capacity < 0:
         raise ValueError("capacity must be non-negative")
-    # Only the public wrapper is metered: the unchecked fast path runs
-    # tens of thousands of times per simulated second, where even a
-    # no-op tracer check would eat the <3% off-overhead budget.
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.metrics.inc("fairshare.allocations")
-        if demands.sum() > capacity:
-            tracer.metrics.inc("fairshare.saturated")
     return _fair_share_unchecked(demands, capacity)
 
 
@@ -115,9 +105,6 @@ def weighted_max_min_fair_share(
         raise ValueError("demands must be non-negative")
     if capacity < 0:
         raise ValueError("capacity must be non-negative")
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.metrics.inc("fairshare.weighted_allocations")
     if demands.sum() <= capacity:
         return demands.copy()
     return _weighted_fill(demands, weights, capacity)

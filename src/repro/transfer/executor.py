@@ -196,7 +196,6 @@ class FluidTransferNetwork:
                 concurrency=session.params.concurrency,
                 parallelism=session.params.parallelism,
             )
-            tracer.metrics.inc("sessions.started")
 
     def remove_session(self, session: TransferSession) -> None:
         """Detach a session (finished or cancelled)."""
@@ -254,7 +253,6 @@ class FluidTransferNetwork:
             return
         self._assign_idle(topo)
         final, losses = self._equilibrium(topo)
-        self._emit_rebalance(topo)
 
         # Wall-clock reads are profiling-only: they feed the optional
         # PerfCounters report and never influence sim state.
@@ -280,6 +278,8 @@ class FluidTransferNetwork:
 
     def _equilibrium(self, topo: _Topology) -> tuple[np.ndarray, np.ndarray]:
         """The converged ``(final, losses)`` pair, from the epoch cache if fresh.
+
+        A recompute is traced as one ``fluid.rebalance``.
 
         Each subsystem is timed over exactly its own call, so the
         profiler's attributions are exclusive and sum to less than the
@@ -307,14 +307,18 @@ class FluidTransferNetwork:
                 prof.add("demand_caps", t1 - t0)
                 prof.add("waterfill", t2 - t1)
                 prof.add("loss", t3 - t2)
+            self._emit_rebalance(topo)
         assert topo.final is not None and topo.losses is not None
         return topo.final, topo.losses
 
     def _emit_rebalance(self, topo: _Topology) -> None:
-        """Trace the allocation a step runs on (when tracing).
+        """Trace a freshly recomputed equilibrium (when tracing).
 
-        Stamped with the step's start time (the engine sets
-        ``tracer.now`` before invoking the fluid callback).
+        Called only from :meth:`_equilibrium`'s recompute branch, which
+        every topology rebuild reaches (a new topology has no key), so
+        steps on a cached allocation emit nothing.  Stamped with the
+        step's start time (the engine sets ``tracer.now`` before
+        invoking the fluid callback).
         """
         tracer = current_tracer()
         if tracer is None:
@@ -327,7 +331,6 @@ class FluidTransferNetwork:
             demand_bps=float(topo.demand_cap.sum()),
             allocated_bps=float(topo.final.sum()),
         )
-        tracer.metrics.set("fluid.active_sessions", len(topo.sessions))
 
     def _retire(self, topo: _Topology) -> None:
         """Detach the sessions that finished during the step."""
@@ -365,7 +368,6 @@ class FluidTransferNetwork:
                 workers=topo.total,
                 resources=len(topo.resources),
             )
-            tracer.metrics.inc("fluid.topology_rebuilds")
         return topo if topo.total else None
 
     def _build_topology(self, sessions: list[TransferSession]) -> _Topology:

@@ -182,7 +182,6 @@ class TransferSession:
                     parallelism=params.parallelism,
                     pipelining=params.pipelining,
                 )
-                tracer.metrics.inc("sessions.param_changes")
         if params.concurrency != self.params.concurrency:
             self._resize_workers(params.concurrency)
         if params.parallelism != self.params.parallelism:
@@ -283,7 +282,6 @@ class TransferSession:
         tracer = current_tracer()
         if tracer is not None:
             tracer.emit(WorkerCrashed, session=self.name, worker=w, requeued=requeued)
-            tracer.metrics.inc("workers.crashed")
         self.rates[w] = self.tcp.initial_rate
         self.file_size[w] = 0.0
         self.file_done[w] = 0.0
@@ -317,8 +315,6 @@ class TransferSession:
         tracer = current_tracer()
         if tracer is not None:
             tracer.emit(WorkerStalled, session=self.name, worker=w, duration_s=duration)
-            tracer.metrics.inc("workers.stalled")
-
     def stalled_workers(self) -> np.ndarray:
         """Indices of workers currently inside an injected stall."""
         return np.flatnonzero(self.stall_left > 0.0)
@@ -422,7 +418,6 @@ class TransferSession:
                     lost_bytes=self.total_lost_bytes,
                     files=self.files_completed,
                 )
-                tracer.metrics.inc("sessions.completed")
             if self.on_complete is not None:
                 self.on_complete(self)
 

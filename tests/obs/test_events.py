@@ -9,7 +9,7 @@ import pytest
 
 from repro.obs.events import (
     EVENT_TYPES,
-    EngineStep,
+    EngineEventFired,
     SessionComplete,
     TraceEvent,
     event,
@@ -50,9 +50,9 @@ class TestRegistry:
                 target = getattr(target, attr)
 
     def test_instances_are_immutable(self):
-        ev = EngineStep(time=1.0, dt=0.1)
+        ev = EngineEventFired(time=1.0, name="tick")
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ev.dt = 0.2
+            ev.name = "tock"
 
     def test_iter_event_types_is_sorted(self):
         names = [cls.type for cls in iter_event_types()]
@@ -61,7 +61,7 @@ class TestRegistry:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
 
-            @event("engine.step", emitted_by="nowhere")
+            @event("engine.event", emitted_by="nowhere")
             class Impostor(TraceEvent):
                 """Duplicate wire name."""
 
@@ -79,9 +79,9 @@ class TestRegistry:
 
 class TestRoundTrip:
     def test_to_dict_puts_type_first(self):
-        d = EngineStep(time=2.5, dt=0.1).to_dict()
+        d = EngineEventFired(time=2.5, name="tick").to_dict()
         assert list(d)[0] == "type"
-        assert d == {"type": "engine.step", "time": 2.5, "dt": 0.1}
+        assert d == {"type": "engine.event", "time": 2.5, "name": "tick"}
 
     def test_from_dict_rebuilds_the_exact_record(self):
         ev = SessionComplete(

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import io
 
-from repro.obs.events import EngineStep, FaultInjected, MonitorSampleTaken
+from repro.obs.events import EngineEventFired, FaultInjected, MonitorSampleTaken
 from repro.obs.exporters import InMemoryExporter, JsonlExporter, encode_event, read_events
 
 EVENTS = [
-    EngineStep(time=0.1, dt=0.1),
+    EngineEventFired(time=0.1, name="tick"),
     MonitorSampleTaken(
         time=1.0,
         session="falcon-gd",
@@ -42,9 +42,9 @@ class TestJsonl:
         assert read_events(buf.getvalue().splitlines()) == EVENTS
 
     def test_encoding_is_canonical(self):
-        line = encode_event(EngineStep(time=0.30000000000000004, dt=0.1))
+        line = encode_event(EngineEventFired(time=0.30000000000000004, name="tick"))
         # type first, field order, compact separators, shortest float repr.
-        assert line == '{"type":"engine.step","time":0.30000000000000004,"dt":0.1}'
+        assert line == '{"type":"engine.event","time":0.30000000000000004,"name":"tick"}'
 
     def test_read_events_skips_blank_lines(self):
         lines = [encode_event(EVENTS[0]), "", "   ", encode_event(EVENTS[2])]

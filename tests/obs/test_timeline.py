@@ -6,7 +6,7 @@ from repro.analysis.timeline import build_timelines, load_timelines, summarize
 from repro.experiments.common import launch_falcon, make_context
 from repro.obs import InMemoryExporter, JsonlExporter, use_tracing
 from repro.obs.events import (
-    EngineStep,
+    EngineEventFired,
     MonitorSampleTaken,
     OptimizerDecision,
     SessionComplete,
@@ -17,7 +17,7 @@ from repro.testbeds.presets import hpclab
 
 SYNTHETIC = [
     SessionStart(time=0.0, session="s1", concurrency=2, parallelism=1),
-    EngineStep(time=0.1, dt=0.1),
+    EngineEventFired(time=0.1, name="tick"),
     MonitorSampleTaken(time=1.0, session="s1", duration_s=1.0, throughput_bps=4e9, loss_rate=0.01),
     UtilityEvaluated(time=1.0, session="s1", utility=3.5, throughput_bps=4e9, loss_rate=0.01),
     OptimizerDecision(time=1.0, session="s1", optimizer="GradientDescent", concurrency=4, utility=3.5),
@@ -40,14 +40,14 @@ class TestBuild:
         assert tl.concurrency == [4]
 
     def test_sessionless_events_are_ignored(self):
-        tls = build_timelines([EngineStep(time=0.1, dt=0.1)])
+        tls = build_timelines([EngineEventFired(time=0.1, name="tick")])
         assert tls == {}
 
     def test_summarize_counts_and_spans(self):
         rows = summarize(SYNTHETIC)
         by_type = {r.type: r for r in rows}
         assert [r.type for r in rows] == sorted(by_type)
-        assert by_type["engine.step"].count == 1
+        assert by_type["engine.event"].count == 1
         assert by_type["session.start"].first == 0.0
         assert by_type["session.complete"].last == 2.5
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.obs import InMemoryExporter, Metrics, Tracer, current_tracer, use_tracing
-from repro.obs.events import EngineStep, SessionComplete
+from repro.obs import InMemoryExporter, Tracer, current_tracer, use_tracing
+from repro.obs.events import EngineEventFired, SessionComplete
 
 
 class TestAmbient:
@@ -34,14 +34,14 @@ class TestEmit:
     def test_emit_fans_out_to_all_exporters(self):
         a, b = InMemoryExporter(), InMemoryExporter()
         tracer = Tracer(a, b)
-        tracer.emit(EngineStep, dt=0.1)
-        assert a.events == b.events == [EngineStep(time=0.0, dt=0.1)]
+        tracer.emit(EngineEventFired, name="tick")
+        assert a.events == b.events == [EngineEventFired(time=0.0, name="tick")]
 
     def test_emit_stamps_with_tracer_now(self):
         mem = InMemoryExporter()
         tracer = Tracer(mem)
         tracer.now = 42.5
-        ev = tracer.emit(EngineStep, dt=0.1)
+        ev = tracer.emit(EngineEventFired, name="tick")
         assert ev.time == 42.5
 
     def test_explicit_t_overrides_now(self):
@@ -50,14 +50,3 @@ class TestEmit:
         tracer.now = 10.0
         ev = tracer.emit(SessionComplete, t=10.05, session="s")
         assert ev.time == 10.05
-
-    def test_tracer_owns_a_metrics_registry(self):
-        tracer = Tracer()
-        tracer.metrics.inc("x")
-        assert tracer.metrics.snapshot()["counters"] == {"x": 1.0}
-
-    def test_shared_metrics_can_be_injected(self):
-        shared = Metrics()
-        with use_tracing(metrics=shared) as tracer:
-            tracer.metrics.inc("y")
-        assert shared.snapshot()["counters"] == {"y": 1.0}

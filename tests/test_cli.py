@@ -31,6 +31,12 @@ class TestParser:
         args = build_parser().parse_args(["trace", "table1", "--out", "x.jsonl", "--quick"])
         assert (args.out, args.quick) == ("x.jsonl", True)
 
+    def test_run_rejects_no_cache_with_cache_dir(self, capsys):
+        # --no-cache would silently ignore the directory.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "fig07", "--no-cache", "--cache-dir", "x"])
+        assert "not allowed with" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list_testbeds(self, capsys):
@@ -97,13 +103,17 @@ class TestCommands:
     def test_trace_fig07_writes_jsonl_and_summary(self, tmp_path, capsys):
         out = tmp_path / "fig07.trace.jsonl"
         assert main(["trace", "fig07", "--quick", "--out", str(out)]) == 0
-        captured = capsys.readouterr().out
-        assert "optimizer.decision" in captured  # event summary after the table
+        captured = capsys.readouterr()
+        assert "optimizer.decision" in captured.out  # event summary after the table
         from repro.obs import read_events
 
         events = read_events(out)
         assert events, "trace file must not be empty"
         assert any(ev.type == "session.start" for ev in events)
+        # The stderr count is the number of decision records in the file.
+        decisions = sum(ev.type == "optimizer.decision" for ev in events)
+        assert decisions > 0
+        assert f"{len(events)} events ({decisions} optimizer decisions)" in captured.err
 
     def test_every_experiment_module_importable(self):
         import importlib

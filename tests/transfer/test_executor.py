@@ -251,6 +251,48 @@ class TestEquilibriumEpochCache:
         assert hits > prof.fluid_steps * 0.8
         assert recomputes < prof.fluid_steps * 0.2
 
+    def test_rebalance_traced_once_per_waterfill(self, monkeypatch):
+        from repro.obs import InMemoryExporter, use_tracing
+        from repro.obs.events import EVENT_TYPES
+
+        waterfills = 0
+        waterfill = FluidTransferNetwork._waterfill
+
+        def counted(self, *args):
+            nonlocal waterfills
+            waterfills += 1
+            return waterfill(self, *args)
+
+        monkeypatch.setattr(FluidTransferNetwork, "_waterfill", counted)
+        engine, net, session = self.steady_setup()
+        steps = 0
+        step = engine.fluid_step
+
+        def counted_step(now, dt):
+            nonlocal steps
+            steps += 1
+            step(now, dt)
+
+        engine.fluid_step = counted_step
+        sink = InMemoryExporter()
+        with use_tracing(sink):
+            engine.run_for(2.0)
+            # A joiner and a resize force topology rebuilds mid-run.
+            net.add_session(
+                emulab_fig4().new_session(
+                    uniform_dataset(50), params=TransferParams(concurrency=4), repeat=True
+                )
+            )
+            engine.run_for(2.0)
+            session.set_concurrency(12)
+            engine.run_for(4.0)
+        types = [ev.type for ev in sink.events]
+        rebalances = types.count("fluid.rebalance")
+        assert types.count("fluid.topology_rebuild") == 3
+        assert rebalances == waterfills
+        assert 3 <= rebalances < steps
+        assert "engine.step" not in EVENT_TYPES
+
     def test_profile_times_every_topology_rebuild(self):
         engine, net, session = self.steady_setup()
         prof = engine.enable_profiling()
